@@ -18,9 +18,13 @@
 use std::sync::Arc;
 
 use manticore::compiler::{compile, CompileOptions, CompileOutput};
-use manticore::isa::{CoreId, MachineConfig, Reg};
+use manticore::isa::{
+    AluOp, Binary, CacheConfig, CoreId, CoreImage, ExceptionDescriptor, ExceptionId, ExceptionKind,
+    Instruction, MachineConfig, Reg,
+};
 use manticore::machine::{
-    Checkpoint, CompiledProgram, GangMachine, Machine, MachineError, ReplayEngine, MAX_LANES,
+    load_checkpoint, Checkpoint, CompiledProgram, GangMachine, Machine, MachineError, ReplayEngine,
+    MAX_LANES,
 };
 use manticore::util::SmallRng;
 use manticore::workloads;
@@ -384,4 +388,164 @@ fn checkpoints_survive_their_source_machine() {
         fingerprint(&replayed, rf, GRID),
         "snapshot must be an independent copy of the state at Vcycle 4"
     );
+}
+
+/// The shape of `tests/fixtures/mckp_v1_legacy_engines.bin`. Every field is
+/// spelled out (no defaults), so a later change to `MachineConfig`'s
+/// defaults cannot turn the fixture into a shape mismatch.
+fn legacy_fixture_config() -> MachineConfig {
+    MachineConfig {
+        grid_width: 2,
+        grid_height: 2,
+        imem_capacity: 64,
+        regfile_size: 16,
+        scratch_words: 16,
+        num_custom_functions: 4,
+        hazard_latency: 2,
+        hop_latency: 1,
+        injection_latency: 2,
+        clock_hz: 475.0e6,
+        cache: CacheConfig {
+            capacity_words: 64,
+            line_words: 8,
+            hit_stall: 10,
+            miss_stall: 60,
+            writeback_stall: 40,
+        },
+    }
+}
+
+/// The fixture's program, hand-assembled rather than compiled so that no
+/// compiler change can alter it: a 2×2 ring where every core counts,
+/// sends its count to the next core and accumulates what it received;
+/// the privileged core also stores and reloads its count through global
+/// memory and displays it. The epilogue `SET` issues at position 10 of an
+/// 11-position Vcycle, so its write is still in the pipeline ring at
+/// every Vcycle boundary (it is first read at position 1).
+fn legacy_fixture_binary() -> Binary {
+    let ring = [
+        CoreId::new(0, 0),
+        CoreId::new(1, 0),
+        CoreId::new(1, 1),
+        CoreId::new(0, 1),
+    ];
+    let r = Reg;
+    let mut binary = Binary {
+        grid_width: 2,
+        grid_height: 2,
+        vcycle_len: 11,
+        cores: vec![],
+        exceptions: vec![ExceptionDescriptor {
+            id: ExceptionId(0),
+            kind: ExceptionKind::Display {
+                format: "count = {}".into(),
+                args: vec![(vec![r(1)], 16)],
+            },
+        }],
+        init_dram: vec![(0, 0x55)],
+    };
+    for (i, &core) in ring.iter().enumerate() {
+        let mut body = vec![
+            Instruction::Alu {
+                op: AluOp::Add,
+                rd: r(1),
+                rs1: r(1),
+                rs2: r(2),
+            },
+            Instruction::Alu {
+                op: AluOp::Add,
+                rd: r(7),
+                rs1: r(7),
+                rs2: r(5),
+            },
+            Instruction::Nop,
+            Instruction::Send {
+                target: ring[(i + 1) % ring.len()],
+                rd_remote: r(5),
+                rs: r(1),
+            },
+        ];
+        if core == CoreId::PRIVILEGED {
+            body.extend([
+                Instruction::Predicate { rs: r(2) },
+                Instruction::GlobalStore {
+                    rs_data: r(1),
+                    rs_addr: [r(0), r(0), r(0)],
+                },
+                Instruction::Nop,
+                Instruction::GlobalLoad {
+                    rd: r(6),
+                    rs_addr: [r(0), r(0), r(0)],
+                },
+                Instruction::Expect {
+                    rs1: r(1),
+                    rs2: r(0),
+                    eid: 0,
+                },
+            ]);
+        }
+        body.resize(10, Instruction::Nop);
+        binary.cores.push(CoreImage {
+            core,
+            body,
+            epilogue_len: 1,
+            custom_functions: vec![],
+            init_regs: vec![(r(1), 100 * i as u16), (r(2), i as u16 + 1)],
+            init_scratch: vec![(3, 0xbeef)],
+        });
+    }
+    binary
+}
+
+/// Vcycles the fixture had run when it was checkpointed.
+const LEGACY_FIXTURE_VCYCLES: u64 = 4;
+
+#[test]
+fn legacy_v1_checkpoint_fixture_loads_and_resumes_bit_identically() {
+    // `mckp_v1_legacy_engines.bin` is an MCKP version-1 blob saved from a
+    // machine running the sharded engine (`exec-mode` tag 1, 2 shards)
+    // with the tape replay lowering (`replay-engine` tag 0), after
+    // `LEGACY_FIXTURE_VCYCLES` Vcycles. Those engines no longer exist;
+    // durable sessions embed such blobs, so they must still load and
+    // resume on the one kernel, bit-identical to an uninterrupted run.
+    let bytes = include_bytes!("fixtures/mckp_v1_legacy_engines.bin");
+
+    // The blob really carries the legacy tags. The engine-knob block sits
+    // just before the fault tag and the 8-byte checksum trailer:
+    // exec-mode u8, shards u64, replay bool, engine u8, invalidated bool.
+    let knobs = &bytes[bytes.len() - 8 - 1 - 12..bytes.len() - 8 - 1];
+    assert_eq!(knobs[0], 1, "exec-mode tag: sharded");
+    assert_eq!(u64::from_le_bytes(knobs[1..9].try_into().unwrap()), 2);
+    assert_eq!(knobs[9..], [1, 0, 0], "replay on, tape lowering, armed");
+
+    let program =
+        CompiledProgram::compile_shared(legacy_fixture_config(), &legacy_fixture_binary())
+            .expect("fixture program loads");
+    let cp = load_checkpoint(bytes, &program).expect("legacy v1 checkpoint loads");
+    assert_eq!(cp.vcycles(), LEGACY_FIXTURE_VCYCLES);
+
+    let resume = 9;
+    let mut straight = Machine::from_program(Arc::clone(&program));
+    let head = straight.run_vcycles(LEGACY_FIXTURE_VCYCLES).unwrap();
+    assert_eq!(head.displays.len(), LEGACY_FIXTURE_VCYCLES as usize);
+    let want = straight.run_vcycles(resume).unwrap();
+
+    let mut revived = cp.boot();
+    let got = revived.run_vcycles(resume).unwrap();
+    assert_eq!(got.displays, want.displays, "resumed displays");
+    assert_eq!(
+        revived.state_fingerprint(),
+        straight.state_fingerprint(),
+        "legacy blob → load → resume == uninterrupted"
+    );
+    assert_eq!(revived.read_global(0), straight.read_global(0));
+
+    // A fork of the legacy snapshot resumes identically too.
+    let mut gang = cp.fork(2).unwrap();
+    for result in gang.run_vcycles(resume) {
+        assert_eq!(result.unwrap().displays, want.displays, "forked displays");
+    }
+    for lane in gang.into_machines() {
+        assert_eq!(lane.state_fingerprint(), straight.state_fingerprint());
+    }
 }

@@ -7,8 +7,10 @@
 //! the identical error). Netlist-level scenarios additionally sweep every
 //! backend through the unified `Simulator` trait.
 
+use std::sync::Arc;
+
 use manticore::isa::{AluOp, Binary, CoreId, CoreImage, Instruction, MachineConfig, Reg};
-use manticore::machine::{ExecMode, Machine, MachineError, ReplayEngine};
+use manticore::machine::{ExecMode, GangMachine, Machine, MachineError, ReplayEngine};
 use manticore::netlist::NetlistBuilder;
 use manticore::sim::backends;
 
@@ -361,5 +363,74 @@ fn simulator_trait_sweeps_degenerate_netlists() {
         }
         let want = if constant { 5 } else { 5 + 17 };
         assert_eq!(expected, Some(want), "{label}: wrong final state");
+    }
+}
+
+#[test]
+fn strict_cross_vcycle_hazard_fails_identically_solo_and_ganged() {
+    // Core (1,0) writes r1 at the last position of an 8-position Vcycle
+    // (committing 3 cycles later, at position 2 of the next Vcycle) and
+    // reads it at position 0: a hazard that only exists across the
+    // Vcycle boundary, so the validation Vcycle passes and Vcycle 1
+    // fails. The fused micro-ops commit strict writes directly and cannot
+    // see it, so the machine must fall back to a checking engine and
+    // report the reference error — on the default engine, on the
+    // interpreter, and in every lane of a gang.
+    let counter = Instruction::Alu {
+        op: AluOp::Add,
+        rd: r(1),
+        rs1: r(1),
+        rs2: r(2),
+    };
+    let mut late_write = vec![Instruction::Alu {
+        op: AluOp::Add,
+        rd: r(3),
+        rs1: r(1),
+        rs2: r(0),
+    }];
+    late_write.resize(7, Instruction::Nop);
+    late_write.push(counter);
+    let mut binary = empty_binary(2, 1, 8);
+    for (x, body) in [(0u8, vec![counter]), (1, late_write)] {
+        binary.cores.push(CoreImage {
+            core: CoreId::new(x, 0),
+            body,
+            epilogue_len: 0,
+            custom_functions: vec![],
+            init_regs: vec![(r(2), x as u16 + 1)],
+            init_scratch: vec![],
+        });
+    }
+    let config = MachineConfig {
+        hazard_latency: 3,
+        ..MachineConfig::with_grid(2, 1)
+    };
+    let want = MachineError::Hazard {
+        core: CoreId::new(1, 0),
+        position: 0,
+        reg: r(1),
+    };
+
+    let mut default_engine = Machine::load(config.clone(), &binary).expect("load");
+    assert_eq!(default_engine.run_vcycles(3).unwrap_err(), want, "default");
+    assert_eq!(default_engine.counters().vcycles, 1, "default: Vcycle");
+
+    let mut interp = Machine::load(config, &binary).expect("load");
+    interp.set_replay(false);
+    assert_eq!(interp.run_vcycles(3).unwrap_err(), want, "interpreter");
+    assert_eq!(interp.counters().vcycles, 1, "interpreter: Vcycle");
+    assert_eq!(
+        interp.state_fingerprint(),
+        default_engine.state_fingerprint(),
+        "both stop at the same abort point"
+    );
+
+    let mut gang = GangMachine::from_program(Arc::clone(default_engine.program()), 2);
+    for (lane, result) in gang.run_vcycles(3).into_iter().enumerate() {
+        assert_eq!(result.unwrap_err(), want, "gang lane {lane}");
+        assert_eq!(gang.counters(lane).vcycles, 1, "gang lane {lane}: Vcycle");
+    }
+    for lane in gang.into_machines() {
+        assert_eq!(lane.state_fingerprint(), interp.state_fingerprint());
     }
 }
