@@ -91,8 +91,9 @@ pub struct ServerConfig {
     /// bounds damage per connection, not per client.
     pub conn_netlist_bytes: u64,
     /// Untrusted compilations allowed at once, across all connections.
-    /// Beyond this, `submit_netlist` gets a transient `compile_busy`
-    /// reject instead of queueing unbounded compile work.
+    /// Beyond this, a `submit_netlist` that misses the program cache
+    /// gets a transient `compile_busy` reject instead of queueing
+    /// unbounded compile work; a cache hit needs no slot.
     pub untrusted_compile_slots: u64,
     /// Resource limits applied to every submitted netlist before it is
     /// decoded or compiled.
@@ -524,6 +525,8 @@ fn admit_submit(
 /// How an untrusted compile failed — deadlines get a structured reject,
 /// everything else an error reply.
 enum UntrustedCompileError {
+    /// A cache miss found every untrusted compile slot taken.
+    Busy,
     /// The compile hit the server's deadline (or the connection's cancel
     /// token) at a pass-manager poll point.
     Deadline,
@@ -545,8 +548,23 @@ fn compile_untrusted(
 ) -> Result<Arc<CacheEntry>, UntrustedCompileError> {
     let key = catalog::netlist_hash(netlist, config);
     let deadline_hit = Cell::new(false);
+    let busy = Cell::new(false);
     let entry = shared.cache.get_or_compile(key, || {
-        catch_silent_mut(|| {
+        // Bounded compile concurrency for untrusted work, charged only on
+        // a miss (a hit compiles nothing): no free slot means a transient
+        // reject, not an unbounded queue of compile jobs.
+        let slots = shared.cfg.untrusted_compile_slots.max(1);
+        if shared
+            .untrusted_compiling
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+                (n < slots).then_some(n + 1)
+            })
+            .is_err()
+        {
+            busy.set(true);
+            return Err("every untrusted compile slot is busy".to_string());
+        }
+        let built = catch_silent_mut(|| {
             let options = CompileOptions {
                 config: config.clone(),
                 ..Default::default()
@@ -574,10 +592,14 @@ fn compile_untrusted(
                 bytes,
             })
         })
-        .unwrap_or_else(|panic| Err(format!("compiler panicked: {panic}")))
+        .unwrap_or_else(|panic| Err(format!("compiler panicked: {panic}")));
+        shared.untrusted_compiling.fetch_sub(1, Ordering::AcqRel);
+        built
     });
     entry.map_err(|e| {
-        if deadline_hit.get() {
+        if busy.get() {
+            UntrustedCompileError::Busy
+        } else if deadline_hit.get() {
             UntrustedCompileError::Deadline
         } else {
             UntrustedCompileError::Other(e)
@@ -675,23 +697,12 @@ fn admit_submit_netlist(
     };
     *netlist_bytes_used = charged;
 
-    // Bounded compile concurrency for untrusted work: no free slot means
-    // a transient reject, not an unbounded queue of compile jobs.
-    let slots = shared.cfg.untrusted_compile_slots.max(1);
-    let acquired = shared
-        .untrusted_compiling
-        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
-            (n < slots).then_some(n + 1)
-        })
-        .is_ok();
-    if !acquired {
-        return reject("compile_busy", shared.cfg.retry_after_ms.max(1), None);
-    }
     let config = MachineConfig::with_grid(side, side);
-    let compiled = compile_untrusted(&netlist, &config, cancel, shared);
-    shared.untrusted_compiling.fetch_sub(1, Ordering::AcqRel);
-    let entry = match compiled {
+    let entry = match compile_untrusted(&netlist, &config, cancel, shared) {
         Ok(entry) => entry,
+        Err(UntrustedCompileError::Busy) => {
+            return reject("compile_busy", shared.cfg.retry_after_ms.max(1), None)
+        }
         Err(UntrustedCompileError::Deadline) => return reject("compile_deadline", 0, None),
         Err(UntrustedCompileError::Other(e)) => return err(format!("compile failed: {e}")),
     };
@@ -1097,6 +1108,7 @@ fn recover_one(env: &Envelope, shared: &Shared) -> Result<(), String> {
     let never_cancelled = CancelToken::new();
     let entry =
         compile_untrusted(&netlist, &config, &never_cancelled, shared).map_err(|e| match e {
+            UntrustedCompileError::Busy => "compile slots busy at recovery".to_string(),
             UntrustedCompileError::Deadline => "compile deadline at recovery".to_string(),
             UntrustedCompileError::Other(msg) => msg,
         })?;
@@ -1127,5 +1139,68 @@ fn reaper_loop(shared: Arc<Shared>) {
             std::thread::sleep(slice);
             remaining = remaining.saturating_sub(slice);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use manticore::netlist::NetlistBuilder;
+
+    use super::*;
+    use crate::client::Client;
+
+    fn counter(name: &str) -> Value {
+        let mut b = NetlistBuilder::new(name);
+        let count = b.reg("count", 16, 0);
+        let one = b.lit(1, 16);
+        let next = b.add(count.q(), one);
+        b.set_next(count, next);
+        b.output("count", count.q());
+        wire::encode_netlist(&b.finish_build().expect("well-formed"))
+    }
+
+    fn submit(id: u64, netlist: Value) -> Request {
+        Request::SubmitNetlist(SubmitNetlistReq {
+            id,
+            netlist,
+            grid: Some(2),
+            vcycles: 7,
+            pokes: vec![],
+            reads: vec!["count".into()],
+            deadline_ms: None,
+            park: false,
+        })
+    }
+
+    #[test]
+    fn cached_wire_netlists_are_admitted_while_every_compile_slot_is_held() {
+        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        let cached = counter("cached");
+        match client.call(&submit(1, cached.clone())).expect("call") {
+            Reply::Result(r) => assert_eq!(r.regs, vec![("count".to_string(), 7)]),
+            other => panic!("first submission: {other:?}"),
+        }
+
+        // Every untrusted compile slot is taken (by other connections'
+        // compiles). A cache hit compiles nothing, so it needs no slot...
+        let slots = server.shared.cfg.untrusted_compile_slots;
+        server
+            .shared
+            .untrusted_compiling
+            .store(slots, Ordering::Release);
+        match client.call(&submit(2, cached)).expect("call") {
+            Reply::Result(r) => assert_eq!(r.regs, vec![("count".to_string(), 7)]),
+            other => panic!("cache hit refused while the slots are held: {other:?}"),
+        }
+        // ...while a miss is still bounded by them.
+        match client.call(&submit(3, counter("uncached"))).expect("call") {
+            Reply::Reject { reason, .. } => assert_eq!(reason, "compile_busy"),
+            other => panic!("a miss must wait for a slot: {other:?}"),
+        }
+        server
+            .shared
+            .untrusted_compiling
+            .store(0, Ordering::Release);
     }
 }
