@@ -265,44 +265,21 @@ pub fn reject_unknown_args(args: &[String]) {
     }
 }
 
-/// The three machine-model engines the perf binaries sweep: the
-/// position-by-position interpreter (replay off) and the two replay
-/// lowerings.
+/// The two machine-model engines the perf binaries measure: the
+/// position-by-position reference interpreter (replay off) and the fused
+/// micro-op kernel (replay on, the default).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelEngine {
     /// Full per-position interpreter (replay disabled).
     Interpreter,
-    /// Validate-once / replay-many, pre-decoded tape.
-    TapeReplay,
-    /// Validate-once / replay-many, fused micro-op stream.
+    /// Validate-once / replay-many, fused micro-op kernel.
     MicroOps,
 }
 
 impl ModelEngine {
-    /// All engines, sweep order.
-    pub const ALL: [ModelEngine; 3] = [
-        ModelEngine::Interpreter,
-        ModelEngine::TapeReplay,
-        ModelEngine::MicroOps,
-    ];
-
-    /// Short column-label suffix (`""`, `"+rp"`, `"+uop"`).
-    pub fn suffix(self) -> &'static str {
-        match self {
-            ModelEngine::Interpreter => "",
-            ModelEngine::TapeReplay => "+rp",
-            ModelEngine::MicroOps => "+uop",
-        }
-    }
-
     /// Configures a machine simulator to run on this engine.
     pub fn apply(self, sim: &mut manticore::ManticoreSim) {
-        use manticore::machine::ReplayEngine;
-        match self {
-            ModelEngine::Interpreter => sim.set_replay(false),
-            ModelEngine::TapeReplay => sim.set_replay_engine(ReplayEngine::Tape),
-            ModelEngine::MicroOps => sim.set_replay_engine(ReplayEngine::MicroOps),
-        }
+        sim.set_replay(self == ModelEngine::MicroOps);
     }
 }
 

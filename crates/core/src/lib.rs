@@ -62,8 +62,8 @@ pub mod prelude {
     pub use manticore_compiler::{compile, CompileOptions, PartitionStrategy};
     pub use manticore_isa::{CoreId, MachineConfig, Reg};
     pub use manticore_machine::{
-        Checkpoint, CompiledProgram, CoverageMap, ExecMode, GangMachine, Interrupt, Machine,
-        MachineError, ReplayEngine, RunOutcome, MAX_LANES,
+        Checkpoint, CompiledProgram, CoverageMap, GangMachine, Interrupt, Machine, MachineError,
+        RunOutcome, MAX_LANES,
     };
     pub use manticore_netlist::{eval::Evaluator, NetlistBuilder};
     pub use manticore_util::CancelToken;
@@ -79,7 +79,7 @@ pub mod prelude {
 use manticore_bits::Bits;
 use manticore_compiler::{compile, CompileError, CompileOptions, CompileOutput};
 use manticore_isa::MachineConfig;
-use manticore_machine::{ExecMode, Machine, MachineError, ReplayEngine, RunOutcome};
+use manticore_machine::{Machine, MachineError, RunOutcome};
 use manticore_netlist::Netlist;
 use manticore_refsim::TapeError;
 
@@ -161,7 +161,8 @@ impl ManticoreSim {
     }
 
     /// Boots a machine from an already-compiled design. Lets several
-    /// simulators (e.g. one per [`ExecMode`]) share one compilation.
+    /// simulators (e.g. an interpreter and a micro-op run) share one
+    /// compilation.
     ///
     /// # Errors
     ///
@@ -209,21 +210,11 @@ impl ManticoreSim {
         }
     }
 
-    /// Selects the machine's execution engine (serial, or sharded BSP).
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.machine.set_exec_mode(mode);
-    }
-
     /// Enables or disables the machine's validate-once / replay-many fast
-    /// path (on by default; bit-identical either way).
+    /// path (on by default; bit-identical either way). Off, every Vcycle
+    /// runs on the reference interpreter.
     pub fn set_replay(&mut self, enabled: bool) {
         self.machine.set_replay(enabled);
-    }
-
-    /// Selects the machine's replay lowering: the pre-decoded tape or the
-    /// fused micro-op stream (default; bit-identical either way).
-    pub fn set_replay_engine(&mut self, engine: ReplayEngine) {
-        self.machine.set_replay_engine(engine);
     }
 
     /// Selects strict or permissive hazard checking — the solo mirror of

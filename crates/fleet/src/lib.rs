@@ -13,8 +13,7 @@
 //!
 //! - [`SimJob`] — the description of one simulation: which program, the
 //!   per-run input vector (register pokes applied before the first
-//!   Vcycle), the engine knobs (exec mode / shard count, replay lowering,
-//!   hazard strictness), and the Vcycle budget. A job can also *resume* an
+//!   Vcycle), the hazard strictness, and the Vcycle budget. A job can also *resume* an
 //!   existing [`Machine`] ([`SimJob::resume`]), which is how a fleet
 //!   drives long-running simulations in slices.
 //! - [`Fleet`] — a fixed pool of worker threads driven by a work-stealing
@@ -29,7 +28,7 @@
 //!   interleaved: every job runs on a machine of its own, and its output
 //!   lands in the slot indexed by its submission position.
 //! - [`Fleet::run_ganged`] — the same batch API with lane batching:
-//!   compatible jobs (one program, one set of engine knobs, one budget)
+//!   compatible jobs (one program, one hazard mode, one budget)
 //!   execute K-at-a-time as lanes of a lockstep
 //!   [`manticore_machine::GangMachine`], so each micro-op is fetched and
 //!   decoded once per K scenarios instead of once per scenario. Outputs
@@ -58,8 +57,7 @@ use std::sync::Mutex;
 use manticore_isa::{CoreId, Reg};
 pub use manticore_machine::CompiledProgram;
 use manticore_machine::{
-    Checkpoint, CoverageMap, ExecMode, GangMachine, Interrupt, Machine, MachineError, ReplayEngine,
-    RunOutcome, MAX_LANES,
+    Checkpoint, CoverageMap, GangMachine, Interrupt, Machine, MachineError, RunOutcome, MAX_LANES,
 };
 use manticore_util::{catch_silent_mut, CancelToken, SmallRng, SpinBarrier};
 use std::sync::Arc;
@@ -68,9 +66,9 @@ mod fault;
 
 pub use fault::{BatchPolicy, FaultKind, FaultPlan, FaultPoint};
 
-/// The gang-compatibility key: program pointer, replay/engine/strict
-/// knobs, Vcycle budget, and cancellation-domain identity.
-type GangKey = (usize, u8, u8, u8, u64, usize);
+/// The gang-compatibility key: program pointer, strict knob, Vcycle
+/// budget, and cancellation-domain identity.
+type GangKey = (usize, u8, u64, usize);
 
 /// Where a job's machine comes from: a fresh boot of a shared program, or
 /// an existing run handed back to the fleet for another slice.
@@ -81,18 +79,15 @@ enum JobSource {
 }
 
 /// The description of one simulation in a fleet batch: program, input
-/// vector, engine knobs, and Vcycle budget. Knobs left unset keep the
-/// machine's defaults (fresh boots) or the machine's current settings
-/// (resumed runs).
+/// vector, hazard mode, and Vcycle budget. A hazard mode left unset keeps
+/// the machine's default (fresh boots) or its current setting (resumed
+/// runs).
 #[derive(Debug)]
 pub struct SimJob {
     source: JobSource,
     /// The per-run input vector: architectural register overwrites
     /// applied before execution.
     pokes: Vec<(CoreId, Reg, u16)>,
-    exec_mode: Option<ExecMode>,
-    replay: Option<bool>,
-    engine: Option<ReplayEngine>,
     strict: Option<bool>,
     vcycles: u64,
     deadline: Option<std::time::Instant>,
@@ -107,9 +102,6 @@ impl SimJob {
         SimJob {
             source: JobSource::Fresh(Arc::clone(program)),
             pokes: Vec::new(),
-            exec_mode: None,
-            replay: None,
-            engine: None,
             strict: None,
             vcycles,
             deadline: None,
@@ -118,15 +110,12 @@ impl SimJob {
     }
 
     /// Resumes an existing machine for another `vcycles` — the fleet-side
-    /// continuation of [`Machine::run_vcycles`]. Knobs and pokes still
-    /// apply (on top of the machine's current settings).
+    /// continuation of [`Machine::run_vcycles`]. The hazard mode and
+    /// pokes still apply (on top of the machine's current settings).
     pub fn resume(machine: Machine, vcycles: u64) -> SimJob {
         SimJob {
             source: JobSource::Resume(Box::new(machine)),
             pokes: Vec::new(),
-            exec_mode: None,
-            replay: None,
-            engine: None,
             strict: None,
             vcycles,
             deadline: None,
@@ -139,28 +128,6 @@ impl SimJob {
     #[must_use]
     pub fn poke(mut self, core: CoreId, reg: Reg, value: u16) -> SimJob {
         self.pokes.push((core, reg, value));
-        self
-    }
-
-    /// Selects the execution engine (serial, or sharded BSP with a shard
-    /// count) for this job.
-    #[must_use]
-    pub fn exec_mode(mut self, mode: ExecMode) -> SimJob {
-        self.exec_mode = Some(mode);
-        self
-    }
-
-    /// Enables or disables the validate-once / replay-many fast path.
-    #[must_use]
-    pub fn replay(mut self, enabled: bool) -> SimJob {
-        self.replay = Some(enabled);
-        self
-    }
-
-    /// Selects the replay lowering (tape or fused micro-ops).
-    #[must_use]
-    pub fn replay_engine(mut self, engine: ReplayEngine) -> SimJob {
-        self.engine = Some(engine);
         self
     }
 
@@ -200,34 +167,22 @@ impl SimJob {
     }
 
     /// True when this job can join a gang: a fresh boot (no existing
-    /// machine to import) on the serial engine, with no per-job deadline
-    /// (the gang runs in lockstep under the batch clock only). Which gang
-    /// it may join is decided by [`SimJob::gang_key`].
+    /// machine to import) with no per-job deadline (the gang runs in
+    /// lockstep under the batch clock only). Which gang it may join is
+    /// decided by [`SimJob::gang_key`].
     fn gangable(&self) -> bool {
-        matches!(self.source, JobSource::Fresh(_))
-            && matches!(self.exec_mode, None | Some(ExecMode::Serial))
-            && self.deadline.is_none()
+        matches!(self.source, JobSource::Fresh(_)) && self.deadline.is_none()
     }
 
     /// The compatibility key for gang grouping: jobs in one gang must
-    /// share the program (pointer identity), every engine knob, the
-    /// Vcycle budget, and the cancellation domain (per-job token
+    /// share the program (pointer identity), the hazard mode, the Vcycle
+    /// budget, and the cancellation domain (per-job token
     /// identity, 0 when none) — everything except the input vector, which
     /// is per-lane by design. Only meaningful for [`SimJob::gangable`]
     /// jobs.
     fn gang_key(&self) -> GangKey {
         let JobSource::Fresh(program) = &self.source else {
             unreachable!("gang_key is only asked of gangable jobs")
-        };
-        let replay = match self.replay {
-            None => 0u8,
-            Some(false) => 1,
-            Some(true) => 2,
-        };
-        let engine = match self.engine {
-            None => 0u8,
-            Some(ReplayEngine::Tape) => 1,
-            Some(ReplayEngine::MicroOps) => 2,
         };
         let strict = match self.strict {
             None => 0u8,
@@ -236,8 +191,6 @@ impl SimJob {
         };
         (
             Arc::as_ptr(program) as usize,
-            replay,
-            engine,
             strict,
             self.vcycles,
             self.cancel.as_ref().map_or(0, CancelToken::id),
@@ -268,15 +221,6 @@ impl SimJob {
         };
         if let Some(strict) = self.strict {
             machine.set_strict_hazards(strict);
-        }
-        if let Some(mode) = self.exec_mode {
-            machine.set_exec_mode(mode);
-        }
-        if let Some(enabled) = self.replay {
-            machine.set_replay(enabled);
-        }
-        if let Some(engine) = self.engine {
-            machine.set_replay_engine(engine);
         }
         for &(core, reg, value) in &self.pokes {
             machine.poke_reg(core, reg, value);
@@ -518,31 +462,19 @@ impl Unit {
         match self {
             Unit::Single(index, job) => outs.push(job.execute(index, ctx)),
             Unit::Gang(group) => {
-                // All jobs share a gang key (program, knobs, budget); the
-                // input vectors are per-lane.
+                // All jobs share a gang key (program, hazard mode, budget);
+                // the input vectors are per-lane.
                 let lanes = group.len();
-                let (program, vcycles, strict, replay, engine) = {
+                let (program, vcycles, strict) = {
                     let job = &group[0].1;
                     let JobSource::Fresh(program) = &job.source else {
                         unreachable!("gangs are built from fresh jobs only")
                     };
-                    (
-                        Arc::clone(program),
-                        job.vcycles,
-                        job.strict,
-                        job.replay,
-                        job.engine,
-                    )
+                    (Arc::clone(program), job.vcycles, job.strict)
                 };
                 let mut gang = GangMachine::from_program(program, lanes);
                 if let Some(strict) = strict {
                     gang.set_strict_hazards(strict);
-                }
-                if let Some(enabled) = replay {
-                    gang.set_replay(enabled);
-                }
-                if let Some(engine) = engine {
-                    gang.set_replay_engine(engine);
                 }
                 for (lane, (_, job)) in group.iter().enumerate() {
                     for &(core, reg, value) in &job.pokes {
@@ -753,12 +685,12 @@ impl Fleet {
     }
 
     /// Like [`Fleet::run`], but batches compatible jobs into gangs of up
-    /// to `lanes` lanes: fresh serial-engine jobs sharing one program,
-    /// identical engine knobs, and one Vcycle budget execute in lockstep
+    /// to `lanes` lanes: fresh jobs sharing one program, one hazard mode,
+    /// one cancellation domain, and one Vcycle budget execute in lockstep
     /// on a [`GangMachine`] — every micro-op fetched and decoded once for
-    /// the whole gang. Jobs that cannot gang (resumed machines, the
-    /// sharded engine, or a gang of one) run exactly as [`Fleet::run`]
-    /// would run them.
+    /// the whole gang. Jobs that cannot gang (resumed machines, per-job
+    /// deadlines, or a gang of one) run exactly as [`Fleet::run`] would
+    /// run them.
     ///
     /// Outputs are bit-identical to the ungganged path and still arrive
     /// in submission order — ganging changes scheduling, never results
@@ -1394,18 +1326,19 @@ mod tests {
     fn ganged_run_matches_solo_run_for_mixed_job_sets() {
         let program = counter_program();
         let core = CoreId::new(0, 0);
-        // A deliberately lumpy set: three gangable groups (two budgets x
-        // two engines) plus one non-gangable sharded job, interleaved.
+        // A deliberately lumpy set: gangable groups (two budgets x two
+        // hazard modes) plus non-gangable deadline'd jobs, interleaved.
+        let far = std::time::Instant::now() + std::time::Duration::from_secs(3600);
         let make_jobs = || -> Vec<SimJob> {
             (0..11)
                 .map(|i| {
                     let vcycles = if i % 2 == 0 { 10 } else { 7 };
                     let mut job = SimJob::new(&program, vcycles).poke(core, Reg(2), (i + 1) as u16);
                     if i % 5 == 3 {
-                        job = job.exec_mode(ExecMode::Parallel { shards: 1 });
+                        job = job.deadline(far);
                     }
                     if i % 3 == 0 {
-                        job = job.replay_engine(ReplayEngine::Tape);
+                        job = job.strict_hazards(false);
                     }
                     job
                 })

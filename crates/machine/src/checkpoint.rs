@@ -17,8 +17,8 @@
 //! lane-batched form of "what happens from here under K different
 //! inputs?". The differential harness in `tests/checkpoint_equivalence.rs`
 //! pins every state-movement path here (snapshot, restore, fork, lane
-//! round-trip) bit-identical to an uninterrupted run across all engine
-//! variants.
+//! round-trip) bit-identical to an uninterrupted run on the interpreter
+//! and the micro-op kernel, strict and permissive.
 //!
 //! The per-Vcycle scratch buffers a machine carries (`send_buf`,
 //! `send_vals_buf`, `due_buf`) are deliberately *not* captured: they are
@@ -30,7 +30,7 @@ use std::sync::Arc;
 use crate::cache::Cache;
 use crate::core::CoreState;
 use crate::gang::GangMachine;
-use crate::grid::{ExecMode, HostEvent, Machine, MachineError, PerfCounters, ReplayEngine};
+use crate::grid::{HostEvent, Machine, MachineError, PerfCounters};
 use crate::noc::Noc;
 use crate::program::CompiledProgram;
 
@@ -51,9 +51,7 @@ pub struct Checkpoint {
     pub(crate) strict_hazards: bool,
     pub(crate) finish_requested: bool,
     pub(crate) events: Vec<HostEvent>,
-    pub(crate) exec_mode: ExecMode,
     pub(crate) replay_enabled: bool,
-    pub(crate) replay_engine: ReplayEngine,
     pub(crate) tape_invalidated: bool,
     /// `Some` when the snapshot was taken from a parked (faulted) gang
     /// lane or a parked machine: forking it reproduces lanes parked with
@@ -106,9 +104,7 @@ impl Checkpoint {
             strict_hazards: self.strict_hazards,
             finish_requested: self.finish_requested,
             events: self.events.clone(),
-            exec_mode: self.exec_mode,
             replay_enabled: self.replay_enabled,
-            replay_engine: self.replay_engine,
             tape_invalidated: self.tape_invalidated,
             send_buf: Vec::new(),
             send_vals_buf: Vec::new(),
@@ -151,9 +147,7 @@ impl Machine {
             strict_hazards: self.strict_hazards,
             finish_requested: self.finish_requested,
             events: self.events.clone(),
-            exec_mode: self.exec_mode,
             replay_enabled: self.replay_enabled,
-            replay_engine: self.replay_engine,
             tape_invalidated: self.tape_invalidated,
             fault: self.fault.clone(),
         }
@@ -185,9 +179,7 @@ impl Machine {
         self.strict_hazards = cp.strict_hazards;
         self.finish_requested = cp.finish_requested;
         self.events.clone_from(&cp.events);
-        self.exec_mode = cp.exec_mode;
         self.replay_enabled = cp.replay_enabled;
-        self.replay_engine = cp.replay_engine;
         self.tape_invalidated = cp.tape_invalidated;
         self.send_buf.clear();
         self.send_vals_buf.clear();

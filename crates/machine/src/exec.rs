@@ -1,10 +1,9 @@
-//! The per-core instruction step, shared by both execution engines.
+//! The reference interpreter's per-core instruction step.
 //!
-//! The serial engine ([`crate::grid`]) and the sharded bulk-synchronous
-//! engine ([`crate::parallel`]) must be bit-identical. The way we get that
-//! by construction is to funnel *all* architectural effects of one core
-//! executing one Vcycle position through this module: both engines call
-//! [`step_core`], which mutates only
+//! The interpreter ([`crate::grid`]'s `run_one_vcycle`) steps every core
+//! position by position and funnels *all* architectural effects of one
+//! core executing one Vcycle position through [`step_core`], which
+//! mutates only
 //!
 //! - the core's own state (a [`CoreView`]: per-core metadata plus the
 //!   core's register-file and scratchpad lanes of the machine's
@@ -12,17 +11,16 @@
 //! - the caller-supplied [`PerfCounters`] accumulator,
 //! - the caller-supplied host-event list (privileged core only),
 //! - the caller-supplied [`SendRecord`] list (messages are *recorded*, not
-//!   routed — the engine decides when to inject them into the NoC), and
+//!   routed — the interpreter injects them into the NoC), and
 //! - the global cache (privileged core only; `None` for everyone else).
 //!
 //! Everything cross-core — NoC routing, message delivery, link-collision
-//! validation — stays in the engines, where the two differ only in *when*
-//! the same serial commit work happens.
+//! validation — stays in the interpreter's Vcycle loop.
 //!
-//! The micro-op replay engine ([`crate::uops`]) does *not* go through this
-//! module's interpreters — that is its point — but it is compiled from the
-//! same decoded instructions and validated against these executors by the
-//! equivalence suite.
+//! The fused micro-op kernel ([`crate::uops`]) does *not* go through this
+//! module's executors — that is its point — but it is compiled from the
+//! same decoded instructions and checked against them by the equivalence
+//! suite.
 
 use manticore_isa::{CoreId, ExceptionDescriptor, ExceptionKind, Instruction, MachineConfig, Reg};
 
@@ -43,13 +41,10 @@ pub(crate) struct ExecEnv<'a> {
     pub vcycle: u64,
 }
 
-/// A `Send` executed this Vcycle, recorded for the engine to inject into
-/// the NoC. `pos` orders records across cores: global injection order is
-/// `(pos, sender linear index)`, exactly the serial engine's iteration
-/// order.
+/// A `Send` executed at one position, recorded for the interpreter to
+/// inject into the NoC before the next core issues.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SendRecord {
-    pub pos: u64,
     pub from: CoreId,
     pub target: CoreId,
     pub rd: Reg,
@@ -155,15 +150,9 @@ pub(crate) fn service_exception(
 /// one core. `now` is the compute-domain time (`vcycle_start + pos`);
 /// `cache` is `Some` exactly for the privileged core.
 ///
-/// All effects go through the caller-supplied accumulators, so the caller
-/// chooses whether they are the machine's globals (serial engine) or
-/// shard-local scratch merged at the barrier (parallel engine).
-///
-/// This is the fetch/decode wrapper around [`exec_instr`]: it resolves the
-/// position into a body instruction or an epilogue slot. The replay engine
-/// ([`crate::replay`]) skips it and calls [`exec_instr`] /
-/// [`exec_epilogue_slot`] directly with pre-decoded entries — both paths
-/// share the same executors, so the replay tape cannot drift semantically.
+/// All effects go through the caller-supplied accumulators. This is the
+/// fetch/decode wrapper around [`exec_instr`]: it resolves the position
+/// into a body instruction or an epilogue slot.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn step_core(
     env: &ExecEnv<'_>,
@@ -216,7 +205,7 @@ pub(crate) fn step_core(
 }
 
 /// Executes one filled epilogue slot (`SET rd, value`) at compute time
-/// `now`. Shared by [`step_core`] and the replay engines' dense epilogue
+/// `now`. Shared by [`step_core`] and the micro-op kernel's dense epilogue
 /// walks.
 pub(crate) fn exec_epilogue_slot(
     core: &mut CoreView<'_>,
@@ -232,12 +221,11 @@ pub(crate) fn exec_epilogue_slot(
 }
 
 /// Executes one already-decoded body instruction. This is the single
-/// source of architectural truth for instruction semantics: the serial
-/// engine, the sharded BSP engine, and the tape replay engine all funnel
-/// every body instruction through here (the micro-op engine is compiled
-/// from the same instructions and checked against this interpreter).
+/// source of architectural truth for instruction semantics (the micro-op
+/// kernel is compiled from the same instructions and checked against this
+/// interpreter).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_instr(
+fn exec_instr(
     env: &ExecEnv<'_>,
     core: &mut CoreView<'_>,
     core_id: CoreId,
@@ -376,7 +364,6 @@ pub(crate) fn exec_instr(
             let v = read_operand(env, core, core_id, rs, pos)?;
             counters.sends += 1;
             sends.push(SendRecord {
-                pos,
                 from: core_id,
                 target,
                 rd: rd_remote,

@@ -22,10 +22,10 @@
 //! per scenario drops by ~K while the data cost stays what it was.
 //!
 //! **Two phases.** Lanes start as plain solo [`Machine`]s (contiguous
-//! per-run state): the validation Vcycle, the tape lowering, unreplayable
-//! programs, and disabled replay all execute there, through the one true
-//! serial engine ([`Machine::step_vcycle`]) with zero copying. The first
-//! time the ganged fast path becomes eligible (micro-op lowering, past
+//! per-run state): the validation Vcycle, unreplayable programs, disabled
+//! replay, and strict runs the micro-ops cannot check all execute there,
+//! through the solo step ([`Machine::step_vcycle`]) with zero copying.
+//! The first time the ganged fast path becomes eligible (past
 //! validation), the register files are transposed once into the
 //! lane-major layout as single sequential passes. The solo machines stay
 //! around as *shells*: they keep owning each lane's NoC, cache, counters,
@@ -38,7 +38,7 @@
 //! What is shared and what is per-lane:
 //!
 //! - **shared**: the program (body, tape, micro-op streams, delivery
-//!   schedule), the hazard/replay knobs, and the lockstep clock. NoC
+//!   schedule), the hazard/replay state, and the lockstep clock. NoC
 //!   delivery follows the shared frozen tape, so lanes can never diverge
 //!   in *when* or *where* a message lands — only its value differs.
 //! - **per-lane**: register/scratchpad values, pipeline rings and
@@ -54,8 +54,8 @@
 //!
 //! **Bit-identity.** The equivalence suite (`tests/gang_equivalence.rs`)
 //! pins the ganged path to K solo runs bit for bit: registers, counters,
-//! displays, and errors — across lane counts, replay lowerings, and
-//! hazard strictness.
+//! displays, and errors — across lane counts, the interpreter and the
+//! micro-op kernel, and hazard strictness.
 
 use std::sync::Arc;
 
@@ -64,9 +64,7 @@ use manticore_isa::{AluOp, CoreId, ExceptionDescriptor, Reg};
 use crate::checkpoint::Checkpoint;
 use crate::core::CoreState;
 use crate::exec::service_exception;
-use crate::grid::{
-    HostEvent, Interrupt, Machine, MachineError, PerfCounters, ReplayEngine, RunOutcome,
-};
+use crate::grid::{HostEvent, Interrupt, Machine, MachineError, PerfCounters, RunOutcome};
 use crate::program::{CompiledProgram, CoreProgram};
 use crate::uops::{MicroOp, UOp};
 
@@ -131,8 +129,9 @@ pub struct GangMachine {
     state: LaneState,
     lane_status: Vec<LaneStatus>,
     strict_hazards: bool,
+    /// Replay state, carried over from the snapshot a gang was forked
+    /// from (a fresh gang always replays).
     replay_enabled: bool,
-    replay_engine: ReplayEngine,
     tape_invalidated: bool,
     /// Cooperative cancellation, polled between lockstep Vcycles —
     /// [`Machine::set_cancel_token`] for the whole gang.
@@ -163,7 +162,6 @@ impl GangMachine {
             lane_status: vec![LaneStatus::Running; lanes],
             strict_hazards: true,
             replay_enabled: true,
-            replay_engine: ReplayEngine::MicroOps,
             tape_invalidated: false,
             cancel: None,
             deadline: None,
@@ -201,7 +199,6 @@ impl GangMachine {
             lane_status: vec![status; lanes],
             strict_hazards: cp.strict_hazards,
             replay_enabled: cp.replay_enabled,
-            replay_engine: cp.replay_engine,
             tape_invalidated: cp.tape_invalidated,
             cancel: None,
             deadline: None,
@@ -243,33 +240,6 @@ impl GangMachine {
                 m.set_strict_hazards(strict);
             }
         }
-    }
-
-    /// Gang-wide replay enable; see [`Machine::set_replay`].
-    pub fn set_replay(&mut self, enabled: bool) {
-        self.replay_enabled = enabled;
-        if let LaneState::Solo(machines) = &mut self.state {
-            for m in machines {
-                m.set_replay(enabled);
-            }
-        }
-    }
-
-    /// Gang-wide replay lowering; the ganged inner loop exists for
-    /// [`ReplayEngine::MicroOps`], everything else runs lane-at-a-time
-    /// through the solo engine.
-    pub fn set_replay_engine(&mut self, engine: ReplayEngine) {
-        self.replay_engine = engine;
-        if let LaneState::Solo(machines) = &mut self.state {
-            for m in machines {
-                m.set_replay_engine(engine);
-            }
-        }
-    }
-
-    /// The currently selected replay lowering.
-    pub fn replay_engine(&self) -> ReplayEngine {
-        self.replay_engine
     }
 
     /// Installs (or clears) the cooperative cancellation token the gang
@@ -396,9 +366,7 @@ impl GangMachine {
                     strict_hazards: self.strict_hazards,
                     finish_requested: false,
                     events: shell.events.clone(),
-                    exec_mode: shell.exec_mode,
                     replay_enabled: self.replay_enabled,
-                    replay_engine: self.replay_engine,
                     tape_invalidated: self.tape_invalidated,
                     fault: None,
                 }
@@ -410,7 +378,6 @@ impl GangMachine {
         // snapshot.
         cp.strict_hazards = self.strict_hazards;
         cp.replay_enabled = self.replay_enabled;
-        cp.replay_engine = self.replay_engine;
         cp.tape_invalidated = self.tape_invalidated;
         cp.finish_requested = finished || cp.finish_requested;
         cp.fault = fault;
@@ -497,10 +464,10 @@ impl GangMachine {
                 }
                 self.run_one_vcycle_uops_gang();
             } else {
-                // Validation Vcycle, tape lowering, unreplayable program,
-                // disabled replay, or invalidated tape: step each lane
-                // through the solo serial engine (one source of truth for
-                // those paths). In the solo phase that is copy-free; after
+                // Validation Vcycle, unreplayable program, disabled replay,
+                // invalidated tape, or a strict check only the interpreter
+                // makes: step each lane through the solo step (one source
+                // of truth for those paths). In the solo phase that is copy-free; after
                 // the gang has interleaved it gathers/scatters the lane
                 // through its shell.
                 //
@@ -510,8 +477,8 @@ impl GangMachine {
                 // the shared program, never of lane data. So once the
                 // first lane's interpreted validation succeeds, the
                 // sibling lanes run their first Vcycle on the micro-op
-                // engine directly (when that is the selected lowering):
-                // same architectural semantics, none of the interpreter's
+                // kernel directly (when the kernel may run at all): same
+                // architectural semantics, none of the interpreter's
                 // per-position costs. A lane-data fault (a failing
                 // `Expect`) on the proving lane merely withholds the
                 // shortcut — the siblings then validate individually, so
@@ -614,7 +581,6 @@ impl GangMachine {
             // unbundled machines must carry the gang's current settings.
             m.strict_hazards = self.strict_hazards;
             m.replay_enabled = self.replay_enabled;
-            m.replay_engine = self.replay_engine;
             m.tape_invalidated = self.tape_invalidated;
             m.finish_requested = matches!(self.lane_status[lane], LaneStatus::Finished);
             // A parked lane unbundles into a parked machine carrying the
@@ -628,9 +594,8 @@ impl GangMachine {
     }
 
     /// True when the next Vcycle can run the ganged micro-op inner loop:
-    /// replay armed, micro-op lowering selected, no strict cross-boundary
-    /// hazard (which needs the tape engine's live checks), and the running
-    /// lanes are past their validation Vcycle. Running lanes are in
+    /// the kernel may run ([`GangMachine::uops_knobs_ready`]) and the
+    /// running lanes are past their validation Vcycle. Running lanes are in
     /// lockstep, so one lane's Vcycle count speaks for all.
     fn gang_replay_ready(&self) -> bool {
         if !self.uops_knobs_ready() {
@@ -642,24 +607,12 @@ impl GangMachine {
             .unwrap_or(false)
     }
 
-    /// True when the engine knobs select the ganged micro-op lowering:
-    /// replay armed on the fused stream with no strict cross-boundary
-    /// hazard (which needs the tape engine's live checks). The Vcycle
-    /// precondition on top of this is [`GangMachine::gang_replay_ready`].
+    /// True when the micro-op kernel may run: replay armed, and no strict
+    /// check only the interpreter makes
+    /// ([`CompiledProgram::uops_need_checks`]). The Vcycle precondition
+    /// on top of this is [`GangMachine::gang_replay_ready`].
     fn uops_knobs_ready(&self) -> bool {
-        if !self.replay_enabled
-            || self.tape_invalidated
-            || self.replay_engine != ReplayEngine::MicroOps
-            || self.program.replay_tape.is_none()
-        {
-            return false;
-        }
-        !(self.strict_hazards
-            && self
-                .program
-                .micro_prog
-                .as_ref()
-                .is_some_and(|p| p.cross_hazard))
+        self.replay_armed() && !self.program.uops_need_checks(self.strict_hazards)
     }
 
     /// Transposes the solo-phase machines' register files into the
@@ -703,8 +656,8 @@ impl GangMachine {
     /// Post-interleave solo fallback: gathers one lane into its shell,
     /// steps the shell one Vcycle on the solo engine, and scatters the
     /// state back into the lane-major arrays. Only reached when a knob
-    /// change (e.g. switching to the tape lowering after ganged Vcycles
-    /// ran) forces a ganged lane back onto the solo engine.
+    /// change (re-arming strict hazards after ganged Vcycles ran) forces a
+    /// ganged lane back onto the solo step.
     fn step_lane_solo_ganged(&mut self, lane: usize) -> Result<(), MachineError> {
         let LaneState::Ganged(gs) = &mut self.state else {
             unreachable!("step_lane_solo_ganged is a ganged-phase operation")
@@ -714,7 +667,6 @@ impl GangMachine {
         let shell = &mut gs.shells[lane];
         shell.strict_hazards = self.strict_hazards;
         shell.replay_enabled = self.replay_enabled;
-        shell.replay_engine = self.replay_engine;
         shell.tape_invalidated = self.tape_invalidated;
         for (i, r) in shell.regs.iter_mut().enumerate() {
             *r = gs.regs[i * lanes + lane];

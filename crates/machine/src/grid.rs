@@ -4,9 +4,7 @@
 //! Machine state is structure-of-arrays: one contiguous `Vec<u32>` holds
 //! every core's register file and one contiguous `Vec<u16>` every core's
 //! scratchpad, sliced into per-core lanes (`CoreView`) for execution. The
-//! layout keeps the hot replay paths walking adjacent memory and lets the
-//! sharded engine hand each worker a disjoint `split_at_mut` window of the
-//! whole machine.
+//! layout keeps the hot micro-op kernel walking adjacent memory.
 
 use std::fmt;
 use std::sync::Arc;
@@ -15,7 +13,7 @@ use manticore_isa::{Binary, CoreId, MachineConfig, Reg};
 
 use crate::cache::{Cache, CacheStats};
 use crate::core::{CoreState, CoreView};
-use crate::exec::{core_id_of, exec_epilogue_slot, exec_instr, step_core, ExecEnv, SendRecord};
+use crate::exec::{core_id_of, exec_epilogue_slot, step_core, ExecEnv, SendRecord};
 use crate::noc::{Message, Noc};
 use crate::program::{CompiledProgram, CoreProgram};
 use crate::replay::ReplayTape;
@@ -54,25 +52,6 @@ impl PerfCounters {
         } else {
             self.stall_cycles as f64 / self.total_cycles() as f64
         }
-    }
-
-    /// Adds another counter block into this one.
-    ///
-    /// This is how the parallel engine aggregates shard-local counters at
-    /// each Vcycle barrier. Every field is an event *count* (`u64`), so the
-    /// aggregation is exact integer addition — associative and commutative —
-    /// and the totals for `instructions`, `sends`, `stall_cycles`, and the
-    /// rest are identical for any shard count and any merge order. (There
-    /// are no floating-point fields here; ratios like
-    /// [`PerfCounters::stall_fraction`] are derived *after* aggregation.)
-    pub fn merge_from(&mut self, other: &PerfCounters) {
-        self.compute_cycles += other.compute_cycles;
-        self.stall_cycles += other.stall_cycles;
-        self.vcycles += other.vcycles;
-        self.instructions += other.instructions;
-        self.sends += other.sends;
-        self.messages_delivered += other.messages_delivered;
-        self.exceptions += other.exceptions;
     }
 }
 
@@ -279,44 +258,6 @@ impl fmt::Display for MachineError {
 
 impl std::error::Error for MachineError {}
 
-/// How [`Machine::run_vcycles`] executes the grid.
-///
-/// Both modes are architecturally identical — same final registers, same
-/// displays, same [`PerfCounters`] — because they share the per-core step
-/// (the crate-private `exec` module) and differ only in scheduling. See
-/// `ARCHITECTURE.md` for the phase/barrier structure of the parallel
-/// engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Step every core position-by-position on the calling thread.
-    Serial,
-    /// Sharded bulk-synchronous execution: the grid is split into
-    /// `shards` contiguous shards, each stepped by its own worker thread
-    /// between per-Vcycle barriers; NoC routing and delivery happen in a
-    /// serial commit phase. `shards` is clamped to `1..=num_cores`.
-    Parallel {
-        /// Worker-thread count (one shard per thread).
-        shards: usize,
-    },
-}
-
-/// Which lowering the validate-once / replay-many fast path executes once
-/// the validation Vcycle has proven the static schedule.
-///
-/// Both are bit-identical to the full interpreter; they differ only in how
-/// much interpretation overhead survives per replayed position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplayEngine {
-    /// The pre-decoded tape, executed through the shared interpreter
-    /// executors (`exec_instr`), hazard checks and all.
-    Tape,
-    /// The fused micro-op stream over structure-of-arrays state: operands
-    /// pre-resolved to flat offsets, dead hazard checks removed, counters
-    /// bulk-accumulated, common adjacent pairs fused into one dispatch.
-    /// The default.
-    MicroOps,
-}
-
 /// The Manticore machine: one *run* of a compiled design.
 ///
 /// The immutable side — validated per-core programs, exception table,
@@ -344,22 +285,19 @@ pub struct Machine {
     pub(crate) strict_hazards: bool,
     pub(crate) finish_requested: bool,
     pub(crate) events: Vec<HostEvent>,
-    pub(crate) exec_mode: ExecMode,
-    /// Whether the validate-once / replay-many fast path may be used once
-    /// the validation Vcycle has completed.
+    /// Whether the fused micro-op kernel may run once the validation
+    /// Vcycle has completed; off, every Vcycle runs on the interpreter.
     pub(crate) replay_enabled: bool,
-    /// Which replay lowering to execute (tape or fused micro-ops).
-    pub(crate) replay_engine: ReplayEngine,
     /// True after [`Machine::set_strict_hazards`] re-armed hazard checks a
     /// permissive validation Vcycle never proved: the shared tape stays in
     /// the program (other runs may still use it), but *this* run must stay
-    /// on the full per-position engines.
+    /// on the interpreter.
     pub(crate) tape_invalidated: bool,
-    /// Reusable per-Vcycle scratch: `Send` records collected during a body
-    /// phase. Hoisted onto the machine so the hot Vcycle loops allocate
-    /// nothing per Vcycle.
+    /// Reusable per-Vcycle scratch: `Send` records collected by the
+    /// interpreter at one position. Hoisted onto the machine so the
+    /// Vcycle loops allocate nothing per Vcycle.
     pub(crate) send_buf: Vec<SendRecord>,
-    /// Reusable per-Vcycle scratch: micro-op engine send values.
+    /// Reusable per-Vcycle scratch: micro-op kernel send values.
     pub(crate) send_vals_buf: Vec<u16>,
     /// Reusable per-position scratch: messages due at one compute cycle
     /// (the interpreter's `take_due` scan).
@@ -438,9 +376,7 @@ impl Machine {
             strict_hazards: true,
             finish_requested: false,
             events: Vec::new(),
-            exec_mode: ExecMode::Serial,
             replay_enabled: true,
-            replay_engine: ReplayEngine::MicroOps,
             tape_invalidated: false,
             send_buf: Vec::new(),
             send_vals_buf: Vec::new(),
@@ -471,14 +407,13 @@ impl Machine {
     /// (what the real pipeline would do) instead of erroring. Used by
     /// failure-injection tests.
     ///
-    /// *Enabling* strictness invalidates the replay tape and its micro-op
-    /// lowering *for this run*: it re-arms hazard checks a permissive
-    /// validation Vcycle never proved, and those checks rely on the full
-    /// engines' position-major error ordering. (The tape itself lives in
-    /// the shared [`CompiledProgram`] and stays available to other runs.)
-    /// Relaxing to permissive only removes checks, so the tape stays valid
-    /// (replay executes the same stale reads the permissive interpreter
-    /// would).
+    /// *Enabling* strictness invalidates the micro-op kernel *for this
+    /// run*: it re-arms hazard checks a permissive validation Vcycle never
+    /// proved, and those checks rely on the interpreter's position-major
+    /// error ordering. (The tape and its micro-ops live in the shared
+    /// [`CompiledProgram`] and stay available to other runs.) Relaxing to
+    /// permissive only removes checks, so the kernel stays valid (it
+    /// executes the same stale reads the permissive interpreter would).
     pub fn set_strict_hazards(&mut self, strict: bool) {
         if strict && !self.strict_hazards {
             self.tape_invalidated = true;
@@ -490,11 +425,11 @@ impl Machine {
     ///
     /// Replay is enabled by default and is architecturally invisible: after
     /// the first Vcycle validates the static schedule (link collisions,
-    /// delivery timing, epilogue accounting), subsequent Vcycles execute a
-    /// frozen, pre-decoded schedule that skips NOPs, empty tail positions,
+    /// delivery timing, epilogue accounting), subsequent Vcycles execute
+    /// the fused micro-op kernel, which skips NOPs, empty tail positions,
     /// and all per-position NoC bookkeeping — bit-identical results,
-    /// measurably faster. Disable it to benchmark the full interpreter.
-    /// See [`Machine::set_replay_engine`] for the two replay lowerings.
+    /// measurably faster. Disable it to run every Vcycle on the reference
+    /// interpreter.
     pub fn set_replay(&mut self, enabled: bool) {
         self.replay_enabled = enabled;
     }
@@ -502,20 +437,6 @@ impl Machine {
     /// Whether the replay fast path may be used (see [`Machine::set_replay`]).
     pub fn replay_enabled(&self) -> bool {
         self.replay_enabled
-    }
-
-    /// Selects which replay lowering post-validation Vcycles execute:
-    /// the pre-decoded tape through the shared interpreter, or the fused
-    /// micro-op stream ([`ReplayEngine::MicroOps`], the default). Both are
-    /// bit-identical; the engine can be switched freely between
-    /// [`Machine::run_vcycles`] calls.
-    pub fn set_replay_engine(&mut self, engine: ReplayEngine) {
-        self.replay_engine = engine;
-    }
-
-    /// The currently selected replay lowering.
-    pub fn replay_engine(&self) -> ReplayEngine {
-        self.replay_engine
     }
 
     /// Micro-op stream statistics for the loaded program, when one exists
@@ -532,42 +453,19 @@ impl Machine {
     /// True when replay is enabled *and* a frozen tape exists for the
     /// loaded program — i.e. post-validation Vcycles will actually replay.
     /// False for unreplayable programs or after the tape was invalidated
-    /// for this run, where execution stays on the full per-position
-    /// engines.
+    /// for this run, where execution stays on the interpreter.
     pub fn replay_armed(&self) -> bool {
         self.replay_enabled && !self.tape_invalidated && self.program.replay_tape.is_some()
     }
 
-    /// True when the next Vcycle will execute from the frozen replay
-    /// schedule: replay is enabled, the program was replayable at load,
-    /// and the validation Vcycle has completed.
-    pub(crate) fn replay_active(&self) -> bool {
-        self.replay_armed() && self.counters.vcycles > 0
-    }
-
-    /// True when the micro-op engine must defer to the tape engine: strict
-    /// mode with a static cross-Vcycle-boundary hazard, where only the
-    /// tape's live per-read checks reproduce the interpreter's error.
-    pub(crate) fn uops_defer_to_tape(&self) -> bool {
-        self.strict_hazards
-            && self
-                .program
-                .micro_prog
-                .as_ref()
-                .is_some_and(|p| p.cross_hazard)
-    }
-
-    /// Selects the execution engine for subsequent [`Machine::run_vcycles`]
-    /// calls. Modes can be switched freely between calls — both engines
-    /// leave the machine in the same architectural state at every Vcycle
-    /// boundary.
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.exec_mode = mode;
-    }
-
-    /// The currently selected execution engine.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec_mode
+    /// True when the next Vcycle runs on the fused micro-op kernel:
+    /// replay is armed, the validation Vcycle has completed, and the
+    /// kernel can reproduce every check the hazard mode asks for (see
+    /// [`CompiledProgram::uops_need_checks`]).
+    pub(crate) fn uops_active(&self) -> bool {
+        self.replay_armed()
+            && self.counters.vcycles > 0
+            && !self.program.uops_need_checks(self.strict_hazards)
     }
 
     /// The machine configuration.
@@ -752,8 +650,9 @@ impl Machine {
         }
     }
 
-    /// Runs up to `max_vcycles` virtual cycles on the engine selected by
-    /// [`Machine::set_exec_mode`].
+    /// Runs up to `max_vcycles` virtual cycles: the interpreter validates
+    /// the first, the fused micro-op kernel runs the rest (see
+    /// [`Machine::set_replay`]).
     ///
     /// # Errors
     ///
@@ -765,19 +664,6 @@ impl Machine {
         if let Some(err) = &self.fault {
             return Err(err.clone());
         }
-        let result = match self.exec_mode {
-            ExecMode::Serial => self.run_vcycles_serial(max_vcycles),
-            ExecMode::Parallel { shards } => {
-                crate::parallel::run_vcycles_parallel(self, max_vcycles, shards)
-            }
-        };
-        if let Err(e) = &result {
-            self.fault = Some(e.clone());
-        }
-        result
-    }
-
-    fn run_vcycles_serial(&mut self, max_vcycles: u64) -> Result<RunOutcome, MachineError> {
         let mut outcome = RunOutcome::default();
         for _ in 0..max_vcycles {
             if self.finish_requested {
@@ -789,6 +675,7 @@ impl Machine {
             }
             if let Err(e) = self.step_vcycle() {
                 self.requeue_displays(outcome.displays);
+                self.fault = Some(e.clone());
                 return Err(e);
             }
             outcome.vcycles_run += 1;
@@ -801,20 +688,15 @@ impl Machine {
         Ok(outcome)
     }
 
-    /// Executes exactly one Vcycle on the serial engine, dispatching to
-    /// the interpreter (validation / unreplayable programs) or the armed
-    /// replay lowering. Shared by [`Machine::run_vcycles`] and the gang
-    /// engine's per-lane fallback ([`crate::gang`]), so lane-at-a-time
-    /// execution cannot drift from a solo run.
+    /// Executes exactly one Vcycle: on the fused micro-op kernel when it
+    /// is active, otherwise on the interpreter (validation, unreplayable
+    /// programs, disabled replay, and the checks only the interpreter
+    /// makes). Shared by [`Machine::run_vcycles`] and the gang engine's
+    /// per-lane fallback ([`crate::gang`]), so lane-at-a-time execution
+    /// cannot drift from a solo run.
     pub(crate) fn step_vcycle(&mut self) -> Result<(), MachineError> {
-        if self.replay_active() {
-            match self.replay_engine {
-                // A static cross-boundary hazard needs the tape
-                // engine's live checks to report the interpreter's
-                // exact error (no compiled workload has one).
-                ReplayEngine::MicroOps if !self.uops_defer_to_tape() => self.run_one_vcycle_uops(),
-                _ => self.run_one_vcycle_replay(),
-            }
+        if self.uops_active() {
+            self.run_one_vcycle_uops()
         } else {
             self.run_one_vcycle()
         }
@@ -834,9 +716,9 @@ impl Machine {
             .splice(0..0, displays.into_iter().map(HostEvent::Display));
     }
 
-    /// Moves pending host events into `outcome` (both engines call this at
-    /// every Vcycle boundary).
-    pub(crate) fn drain_events(&mut self, outcome: &mut RunOutcome) {
+    /// Moves pending host events into `outcome` (called at every Vcycle
+    /// boundary).
+    fn drain_events(&mut self, outcome: &mut RunOutcome) {
         for ev in self.events.drain(..) {
             match ev {
                 HostEvent::Display(s) => outcome.displays.push(s),
@@ -925,8 +807,8 @@ impl Machine {
                     &mut self.events,
                     &mut sends,
                 )?;
-                // Serial semantics: a recorded send enters the NoC
-                // immediately, before the next core issues.
+                // A recorded send enters the NoC immediately, before the
+                // next core issues.
                 for s in sends.drain(..) {
                     self.noc
                         .send(s.from, s.target, s.rd, s.value, now, pos, validate)
@@ -957,102 +839,6 @@ impl Machine {
         Ok(())
     }
 
-    /// One Vcycle on the frozen replay tape (see [`crate::replay`]).
-    ///
-    /// The validation Vcycle proved the static schedule's assumptions, so
-    /// this path skips NOP positions, idle-tail positions, the per-position
-    /// `take_due` scan, and all link bookkeeping. Instructions still
-    /// execute through the shared executors (`exec_instr` /
-    /// `exec_epilogue_slot`) at their original `(position, compute-time)`
-    /// coordinates, so every architecturally visible bit — registers,
-    /// pending-write timing, counters, host events, data-dependent
-    /// exceptions — is identical to the per-position engine.
-    ///
-    /// Execution is core-major rather than position-major; that is
-    /// invisible because cores only interact through the (frozen) delivery
-    /// schedule, and the only *fallible* instructions in a replayed Vcycle
-    /// are the privileged core's `Expect`s (everything position-dependent —
-    /// hazards, collisions, delivery timing — is static and was validated),
-    /// so error selection matches the serial engine's encounter order too.
-    fn run_one_vcycle_replay(&mut self) -> Result<(), MachineError> {
-        let Machine {
-            program,
-            cores,
-            regs,
-            scratch,
-            cache,
-            compute_time,
-            counters,
-            strict_hazards,
-            events,
-            send_buf,
-            ..
-        } = self;
-        let config = &program.config;
-        let vcycle_len = program.vcycle_len;
-        let tape = program
-            .replay_tape
-            .as_ref()
-            .expect("replay_active checked the tape");
-        let env = ExecEnv {
-            config,
-            exceptions: &program.exceptions,
-            strict_hazards: *strict_hazards,
-            vcycle: counters.vcycles,
-        };
-        let vstart = *compute_time;
-        let rf = config.regfile_size;
-        let sw = config.scratch_words;
-
-        // Body phase: dense, pre-decoded, core-major. The send buffer is
-        // the machine's reusable scratch — no per-Vcycle allocation.
-        let sends = send_buf;
-        sends.clear();
-        sends.reserve(tape.sends_per_vcycle);
-        for (idx, ops) in tape.body.iter().enumerate() {
-            let mut view = CoreView {
-                cs: &mut cores[idx],
-                prog: &program.cores[idx],
-                regs: &mut regs[idx * rf..(idx + 1) * rf],
-                scratch: &mut scratch[idx * sw..(idx + 1) * sw],
-            };
-            let core_id = core_id_of(idx, config.grid_width);
-            let is_privileged = core_id == CoreId::PRIVILEGED;
-            for op in ops {
-                let pos = op.pos as u64;
-                let now = vstart + pos;
-                view.commit_due(now);
-                let cache_arg = if is_privileged {
-                    Some(&mut *cache)
-                } else {
-                    None
-                };
-                exec_instr(
-                    &env, &mut view, core_id, pos, now, op.instr, cache_arg, counters, events,
-                    sends,
-                )?;
-            }
-        }
-        debug_assert_eq!(sends.len(), tape.sends_per_vcycle);
-
-        replay_delivery_and_epilogue(
-            tape,
-            &program.cores,
-            cores,
-            regs,
-            scratch,
-            config,
-            vstart,
-            counters,
-            |i| sends[i as usize].value,
-        );
-
-        *compute_time += vcycle_len;
-        counters.compute_cycles += vcycle_len;
-        counters.vcycles += 1;
-        Ok(())
-    }
-
     /// One Vcycle on the fused micro-op stream (see [`crate::uops`]).
     ///
     /// `pub(crate)` for the gang engine's trusted-validation path: once
@@ -1060,15 +846,22 @@ impl Machine {
     /// independent) schedule, sibling lanes of the same program run their
     /// first Vcycle here directly.
     ///
-    /// Identical phase structure to [`Machine::run_one_vcycle_replay`] —
-    /// core-major body walk, frozen delivery schedule, dense epilogue —
-    /// but the body walk dispatches pre-resolved micro-ops instead of
-    /// interpreting decoded instructions, skips architecturally inert
-    /// cores entirely, and accumulates counters in bulk. In strict mode
-    /// (no read can observe an in-flight write — validated) register
-    /// writes commit directly and the epilogue collapses to the
-    /// pre-resolved `epi_prog` write list; permissive mode keeps the
-    /// pipeline ring for exact stale-read semantics.
+    /// The validation Vcycle proved the static schedule's assumptions, so
+    /// this path skips NOP positions, idle-tail positions, the
+    /// per-position `take_due` scan, and all link bookkeeping: a
+    /// core-major body walk dispatching pre-resolved micro-ops (inert
+    /// cores skipped, counters accumulated in bulk), then the frozen
+    /// delivery schedule and a dense epilogue. Core-major order is
+    /// invisible because cores only interact through the frozen delivery
+    /// schedule, and the only fallible instructions left are the
+    /// privileged core's `Expect`s, so error selection matches the
+    /// interpreter's encounter order. In strict mode (no read can observe
+    /// an in-flight write — validated, and
+    /// [`CompiledProgram::uops_need_checks`] rules out the one case the
+    /// validation cannot see) register writes commit directly and the
+    /// epilogue collapses to the pre-resolved `epi_prog` write list;
+    /// permissive mode keeps the pipeline ring for exact stale-read
+    /// semantics.
     pub(crate) fn run_one_vcycle_uops(&mut self) -> Result<(), MachineError> {
         let Machine {
             program,
@@ -1088,7 +881,7 @@ impl Machine {
         let tape = program
             .replay_tape
             .as_ref()
-            .expect("replay_active checked the tape");
+            .expect("uops_active checked the tape");
         let up = program
             .micro_prog
             .as_ref()
@@ -1132,8 +925,7 @@ impl Machine {
                 counters,
                 events,
                 send_vals,
-            )
-            .map_err(|f| f.err)?;
+            )?;
         }
         debug_assert_eq!(send_vals.len(), tape.sends_per_vcycle);
 
@@ -1161,7 +953,7 @@ impl Machine {
                 config,
                 vstart,
                 counters,
-                |i| send_vals[i as usize],
+                send_vals,
             );
         }
 
@@ -1173,11 +965,9 @@ impl Machine {
 }
 
 /// Applies the frozen delivery schedule and walks the validated epilogue
-/// slots through the pipeline ring, wrapping every core — the shared
-/// back half of a tape-replay or ringed micro-op Vcycle. `value_of` maps
-/// a schedule entry's send index to this Vcycle's value, the only thing
-/// that differs between the two callers (keeping the walk itself in one
-/// place, so the engines cannot drift by parallel maintenance).
+/// slots through the pipeline ring, wrapping every core — the back half
+/// of a permissive micro-op Vcycle. `send_vals` holds this Vcycle's
+/// values, indexed by a schedule entry's send index.
 #[allow(clippy::too_many_arguments)]
 fn replay_delivery_and_epilogue(
     tape: &ReplayTape,
@@ -1188,7 +978,7 @@ fn replay_delivery_and_epilogue(
     config: &MachineConfig,
     vstart: u64,
     counters: &mut PerfCounters,
-    value_of: impl Fn(u32) -> u16,
+    send_vals: &[u16],
 ) {
     let lat = config.hazard_latency as u64;
     let rf = config.regfile_size;
@@ -1198,7 +988,7 @@ fn replay_delivery_and_epilogue(
     // position and slot; only the values change between Vcycles.
     for d in &tape.deliveries {
         let core = &mut cores[d.target as usize];
-        core.epilogue[d.slot as usize] = Some((d.rd, value_of(d.send_idx)));
+        core.epilogue[d.slot as usize] = Some((d.rd, send_vals[d.send_idx as usize]));
         core.received += 1;
         counters.messages_delivered += 1;
     }

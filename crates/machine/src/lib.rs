@@ -26,14 +26,6 @@
 //! exactly the failures that would silently corrupt results on the real
 //! hardware.
 //!
-//! The grid executes under one of two engines ([`ExecMode`]): the serial
-//! reference engine, or a *sharded bulk-synchronous* engine that steps
-//! disjoint core shards on worker threads and performs NoC routing,
-//! delivery, and stall accounting in a serial commit phase between
-//! per-Vcycle barriers. The two are bit-identical by construction — they
-//! share the per-core step function — which the test suite checks across
-//! every workload and shard count.
-//!
 //! A loaded design is split across the compile-once / run-many boundary:
 //! the immutable [`CompiledProgram`] (validated per-core programs,
 //! exception table, initial state images, replay tape, micro-op streams)
@@ -41,18 +33,24 @@
 //! mutable state only, cheap to boot ([`Machine::from_program`]), which
 //! is what the `manticore-fleet` crate batches across a worker pool.
 //!
-//! Both engines additionally exploit the model's determinism with a
-//! *validate-once / replay-many* fast path ([`Machine::set_replay`], on by
-//! default): the first Vcycle validates the static schedule in full, after
-//! which execution switches to a frozen, pre-decoded replay schedule that
-//! skips NOPs, idle-tail positions, and all per-position NoC bookkeeping —
-//! same bits, fewer interpreted steps. Two lowerings exist
-//! ([`Machine::set_replay_engine`]): the pre-decoded tape through the
-//! shared interpreter, and the default *fused micro-op stream* over the
-//! machine's structure-of-arrays state, with operands pre-resolved to flat
-//! offsets, dead hazard checks removed, counters bulk-accumulated, and the
-//! measured-hottest adjacent instruction pairs fused into one dispatch
-//! (see the crate-private `replay`/`uops` modules and `ARCHITECTURE.md`).
+//! A run executes on one fast kernel, with one reference interpreter
+//! beside it. The model exploits its own determinism with a
+//! *validate-once / replay-many* split ([`Machine::set_replay`], on by
+//! default): the first Vcycle runs on the position-by-position
+//! interpreter, which validates the static schedule in full (link
+//! collisions, delivery timing, epilogue accounting, hazards); every
+//! later Vcycle runs the *fused micro-op kernel* — the frozen schedule
+//! lowered to a per-core stream over the machine's structure-of-arrays
+//! state, with NOPs and idle positions dropped, operands pre-resolved to
+//! flat offsets, dead hazard checks removed, counters bulk-accumulated,
+//! and the measured-hottest adjacent instruction pairs fused into one
+//! dispatch (see the crate-private `replay`/`uops` modules and
+//! `ARCHITECTURE.md`). The interpreter stays the reference: with replay
+//! off it runs every Vcycle, and the one check the kernel cannot make (a
+//! strict-mode hazard across the Vcycle boundary) keeps a run on it. The
+//! two are bit-identical, which the test suite checks across every
+//! workload. Host parallelism lives above the machine, at scenario level:
+//! the fleet's worker pool and the lane-batched [`GangMachine`].
 //!
 //! Finally, runs are first-class *scenario-tree* nodes: a [`Checkpoint`]
 //! is a serialize-free snapshot of one run at a Vcycle boundary, keyed to
@@ -70,7 +68,6 @@ mod exec;
 mod gang;
 mod grid;
 mod noc;
-mod parallel;
 mod persist;
 mod program;
 mod replay;
@@ -80,9 +77,7 @@ pub use cache::{Cache, CacheStats};
 pub use checkpoint::Checkpoint;
 pub use coverage::CoverageMap;
 pub use gang::{GangMachine, MAX_LANES};
-pub use grid::{
-    ExecMode, HostEvent, Interrupt, Machine, MachineError, PerfCounters, ReplayEngine, RunOutcome,
-};
+pub use grid::{HostEvent, Interrupt, Machine, MachineError, PerfCounters, RunOutcome};
 pub use persist::{load_checkpoint, save_checkpoint, PersistError};
 pub use program::CompiledProgram;
 

@@ -30,7 +30,7 @@ use manticore_util::FnvHasher;
 use crate::cache::{Cache, CacheStats, Line};
 use crate::checkpoint::Checkpoint;
 use crate::core::{CoreState, PendingWrite};
-use crate::grid::{ExecMode, HostEvent, MachineError, PerfCounters, ReplayEngine};
+use crate::grid::{HostEvent, MachineError, PerfCounters};
 use crate::noc::{LinkId, Message, Noc};
 use crate::program::CompiledProgram;
 
@@ -460,19 +460,11 @@ pub fn save_checkpoint(cp: &Checkpoint) -> Vec<u8> {
         }
     }
 
-    // Engine knobs.
-    match cp.exec_mode {
-        ExecMode::Serial => w.u8(0),
-        ExecMode::Parallel { shards } => {
-            w.u8(1);
-            w.usize(shards);
-        }
-    }
+    // Engine knobs. The exec-mode and replay-engine tags are constants
+    // now (serial, micro-ops); see `load_checkpoint` for the legacy ones.
+    w.u8(0);
     w.bool(cp.replay_enabled);
-    w.u8(match cp.replay_engine {
-        ReplayEngine::Tape => 0,
-        ReplayEngine::MicroOps => 1,
-    });
+    w.u8(1);
     w.bool(cp.tape_invalidated);
 
     // Fault.
@@ -716,17 +708,22 @@ pub fn load_checkpoint(
         });
     }
 
-    let exec_mode = match r.u8()? {
-        0 => ExecMode::Serial,
-        1 => ExecMode::Parallel { shards: r.usize()? },
+    // Engine knobs. Blobs written before the machine had one kernel may
+    // name the sharded engine (tag 1 plus a shard count) or the tape
+    // lowering (engine tag 0); both resume on the one kernel, which is
+    // bit-identical to them.
+    match r.u8()? {
+        0 => {}
+        1 => {
+            r.usize()?;
+        }
         t => return Err(corrupt(format!("bad exec-mode tag {t}"))),
-    };
+    }
     let replay_enabled = r.bool()?;
-    let replay_engine = match r.u8()? {
-        0 => ReplayEngine::Tape,
-        1 => ReplayEngine::MicroOps,
+    match r.u8()? {
+        0 | 1 => {}
         t => return Err(corrupt(format!("bad replay-engine tag {t}"))),
-    };
+    }
     let tape_invalidated = r.bool()?;
 
     let fault = match r.u8()? {
@@ -754,9 +751,7 @@ pub fn load_checkpoint(
         strict_hazards,
         finish_requested,
         events,
-        exec_mode,
         replay_enabled,
-        replay_engine,
         tape_invalidated,
         fault,
     })

@@ -6,8 +6,8 @@
 //! register/scratchpad/DRAM images, and — because they are pure functions of
 //! the program — the replay tape and its fused micro-op lowering. It is
 //! immutable after construction and shared behind an `Arc`, so *N*
-//! concurrent simulations of the same design (a fleet, a serial/parallel
-//! backend pair, a parameter sweep) pay for validation, tape freezing, and
+//! concurrent simulations of the same design (a fleet, a gang, a
+//! parameter sweep) pay for validation, tape freezing, and
 //! micro-op compilation exactly once. Booting another machine from the
 //! artifact ([`crate::Machine::from_program`]) only allocates the mutable
 //! per-run state: the SoA register file and scratchpad, the pipeline rings,
@@ -335,6 +335,15 @@ impl CompiledProgram {
             bytes += prog.approx_bytes();
         }
         bytes
+    }
+
+    /// True when the fused micro-op kernel cannot honour hazard mode
+    /// `strict` for this program: strict mode with a static
+    /// cross-Vcycle-boundary hazard ([`MicroProgram::cross_hazard`]),
+    /// which the kernel's direct commits cannot see. Such runs stay on
+    /// the interpreter, which reports the reference error by definition.
+    pub(crate) fn uops_need_checks(&self, strict: bool) -> bool {
+        strict && self.micro_prog.as_ref().is_some_and(|p| p.cross_hazard)
     }
 
     /// Micro-op stream statistics, when a micro program exists:

@@ -1,37 +1,39 @@
 //! The validate-once / replay-many tape: frozen per-core schedules and the
-//! machine-wide delivery schedule.
+//! machine-wide delivery schedule — the intermediate form the fused
+//! micro-op kernel ([`crate::uops`]) is lowered from.
 //!
 //! Manticore's compute domain is statically scheduled and deterministic:
 //! every Vcycle executes the same instruction at the same position on every
 //! core, every `Send` takes the same route with the same latency, and every
 //! message lands in the same epilogue slot. Only the *data* differs between
-//! Vcycles. The first Vcycle therefore acts as a **validation** pass — it
-//! proves the schedule's assumptions (no link collisions, no late or
-//! missing messages, no epilogue overflow, and, in strict mode, no data
-//! hazards) — and every later Vcycle can execute a frozen **replay tape**
-//! that skips all of the interpreter overhead those proofs made redundant:
+//! Vcycles. The first Vcycle therefore runs on the interpreter as a
+//! **validation** pass — it proves the schedule's assumptions (no link
+//! collisions, no late or missing messages, no epilogue overflow, and, in
+//! strict mode, no data hazards) — and every later Vcycle can execute a
+//! frozen schedule that skips all of the interpreter overhead those proofs
+//! made redundant:
 //!
 //! - **NOP and idle-tail positions** — the dense per-core tape holds only
 //!   `(position, pre-decoded instruction)` entries, so a core whose body is
 //!   ten instructions in a 400-cycle Vcycle costs ten steps, not 400;
-//! - **per-position message scanning** — the serial engine scans the NoC's
-//!   in-flight list at every position (`take_due`); the replay engine uses
-//!   the precomputed [`ReplayTape::deliveries`] schedule, which maps the
-//!   *k*-th send of the Vcycle straight to its `(target, slot, rd)`;
+//! - **per-position message scanning** — the interpreter scans the NoC's
+//!   in-flight list at every position (`take_due_into`); replay uses the
+//!   precomputed [`ReplayTape::deliveries`] schedule, which maps the *k*-th
+//!   send of the Vcycle straight to its `(target, slot, rd)`;
 //! - **link bookkeeping** — routes and reservations never change, so the
 //!   NoC is bypassed entirely.
 //!
 //! The tape is a pure function of the loaded program and the machine
 //! configuration, so it is built once when the program is frozen into a
-//! [`crate::CompiledProgram`] and shared by every run; it is
-//! *used* only after the validation Vcycle completes successfully (a
-//! program whose validation Vcycle fails never reaches the replay path).
-//! Bit-identity with the per-position engines is structural: the tape
-//! replays through the same `exec_instr` / `exec_epilogue_slot` executors
-//! at the same `(position, compute-time)` coordinates, and the delivery
-//! schedule reproduces the serial engine's exact delivery order — sorted by
-//! `(delivery position, arrival time, injection order)`, the order
-//! `Noc::take_due` yields.
+//! [`crate::CompiledProgram`] and shared by every run; it is *used* only
+//! after the validation Vcycle completes successfully (a program whose
+//! validation Vcycle fails never reaches the replay path). The micro-op
+//! streams are compiled from [`ReplayTape::body`], and the kernel's
+//! permissive-mode delivery and epilogue walk reads
+//! [`ReplayTape::deliveries`] and [`ReplayTape::epi_exec`] directly. The
+//! delivery schedule reproduces the interpreter's exact delivery order —
+//! sorted by `(delivery position, arrival time, injection order)`, the
+//! order `Noc::take_due_into` yields.
 
 use manticore_isa::{Instruction, MachineConfig, Reg};
 
@@ -46,7 +48,7 @@ pub(crate) struct TapeOp {
     pub instr: Instruction,
 }
 
-/// One entry of the frozen delivery schedule, in the serial engine's
+/// One entry of the frozen delivery schedule, in the interpreter's
 /// delivery order. The value is not stored — it is produced fresh each
 /// Vcycle by the `send_idx`-th send of the replayed body phase.
 #[derive(Debug, Clone, Copy)]
@@ -85,7 +87,7 @@ struct SendSite {
     from: usize,
     /// Target, linear index.
     target: usize,
-    /// Position at which the serial engine delivers the message: the first
+    /// Position at which the interpreter delivers the message: the first
     /// `take_due` scan after both injection and arrival.
     deliver_at: u64,
     /// Arrival time offset (the `take_due` sort key).
@@ -117,8 +119,8 @@ impl ReplayTape {
     /// - the per-target delivery count does not equal the declared epilogue
     ///   length (validation fails with overflow/missing messages).
     ///
-    /// Returning `None` simply keeps the machine on the full per-position
-    /// engines, which then report the failure exactly as before.
+    /// Returning `None` simply keeps the machine on the interpreter, which
+    /// then reports the failure exactly as before.
     pub fn build(
         cores: &[CoreProgram],
         config: &MachineConfig,
@@ -175,7 +177,7 @@ impl ReplayTape {
             body.push(ops);
         }
 
-        // Serial injection order is `(position, sender index)`; rank each
+        // Interpreter injection order is `(position, sender index)`; rank each
         // site so ties on arrival time break the way `take_due`'s stable
         // sort does.
         let mut by_injection: Vec<usize> = (0..sites.len()).collect();
@@ -185,7 +187,7 @@ impl ReplayTape {
             injection_rank[i] = rank;
         }
 
-        // Serial delivery order, and with it the epilogue slot assignment.
+        // Interpreter delivery order, and with it the epilogue slot assignment.
         let mut by_delivery: Vec<usize> = (0..sites.len()).collect();
         by_delivery.sort_by_key(|&i| (sites[i].deliver_at, sites[i].arrive, injection_rank[i]));
         let mut next_slot = vec![0usize; cores.len()];

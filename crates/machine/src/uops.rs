@@ -1,15 +1,16 @@
-//! The fused micro-op stream: a second lowering stage over the replay
-//! tape.
+//! The fused micro-op kernel: the machine's one fast engine, lowered from
+//! the replay tape.
 //!
-//! The tape replay engine ([`crate::replay`]) already skips NOPs, idle
-//! tails, and all NoC bookkeeping, but every replayed position still pays
-//! the general interpreter's costs: the full [`Instruction`] match with
-//! `Reg` unwrapping, per-operand strict-hazard branches, two counter
-//! read-modify-writes per instruction, and a non-inlinable call into
-//! `exec_instr`. All of that is *static* — the validation Vcycle proved
-//! hazards cannot fire, the instruction mix never changes, and the
-//! per-Vcycle counter deltas are constants of the program. So this module
-//! compiles each core's tape into a dense [`MicroOp`] stream with
+//! The replay tape ([`crate::replay`]) is the frozen schedule with NOPs,
+//! idle tails, and all NoC bookkeeping already removed. Interpreting it
+//! would still pay the general interpreter's costs at every position: the
+//! full [`Instruction`] match with `Reg` unwrapping, per-operand
+//! strict-hazard branches, two counter read-modify-writes per
+//! instruction, and a non-inlinable call into the executor. All of that
+//! is *static* — the validation Vcycle proved hazards cannot fire, the
+//! instruction mix never changes, and the per-Vcycle counter deltas are
+//! constants of the program. So this module compiles each core's tape
+//! into a dense [`MicroOp`] stream with
 //!
 //! - **pre-resolved operands** — flat `u16` register-file indices instead
 //!   of `Reg` newtypes, `Slice` masks precomputed from the width, custom
@@ -23,7 +24,7 @@
 //!   latency)` arithmetic, identically to the interpreter;
 //! - **bulk counters** — `instructions`/`executed`/`sends` accumulate in
 //!   locals and flush once per core walk (flushed even on a faulting walk,
-//!   so error-path counters match the tape engine bit-for-bit);
+//!   so error-path counters match the interpreter bit-for-bit);
 //! - **peephole fusion** of the adjacent-position pairs the compiled
 //!   workloads actually emit. Measured over all nine workloads on the
 //!   15×15 grid (`examples/pair_histogram.rs`): `Alu→Alu` is 58.7% of
@@ -35,9 +36,8 @@
 //!
 //! The stream is a pure function of the tape, built once when the program
 //! is frozen into a [`crate::CompiledProgram`] (and shared by every run of
-//! it) and used by both engines' micro-op replay
-//! paths ([`crate::grid`] serial, [`crate::parallel`] sharded) strictly
-//! after the validation Vcycle.
+//! it) and executed — solo by [`crate::grid`], lane-batched by
+//! [`crate::gang`] — strictly after the validation Vcycle.
 
 use manticore_isa::{AluOp, ExceptionDescriptor, Instruction};
 
@@ -192,11 +192,11 @@ pub(crate) struct MicroProgram {
     /// True if some register written near the Vcycle end is read early
     /// enough in the next Vcycle to observe the write still in flight.
     /// This is a static property (`write pos + hazard latency >
-    /// vcycle_len + read pos`, all constants), and when it holds the
-    /// strict engines must keep runtime hazard checks — the micro-op
-    /// engine then defers to the tape engine, which reports the exact
-    /// interpreter error. No compiled workload exhibits it; the flag
-    /// exists so the fast path cannot silently change semantics.
+    /// vcycle_len + read pos`, all constants), and when it holds strict
+    /// runs must keep runtime hazard checks — they stay on the
+    /// interpreter, which reports the reference error. No compiled
+    /// workload exhibits it; the flag exists so the fast path cannot
+    /// silently change semantics.
     pub cross_hazard: bool,
     /// Tape entries absorbed into fused pairs (reporting only).
     pub fused_pairs: usize,
@@ -507,14 +507,6 @@ fn cross_boundary_hazard(
     false
 }
 
-/// A fault raised while walking a micro-op stream, tagged with the Vcycle
-/// position it occurred at (the parallel engine ranks errors by the
-/// serial engine's encounter order).
-pub(crate) struct UopFault {
-    pub pos: u64,
-    pub err: MachineError,
-}
-
 /// Queues (ringed mode) or immediately commits (direct mode) a register
 /// write. Direct commit is legal exactly when no read can observe the
 /// write in flight — strict-validated programs without a cross-boundary
@@ -592,7 +584,7 @@ fn exec_mux<const DIRECT: bool>(
 /// Counter deltas (`instructions`, `executed`, `sends`) accumulate in
 /// locals and flush once — including on a faulting walk, where the
 /// prefix up to and through the faulting op is flushed exactly as the
-/// tape engine would have counted it. Only the privileged core can fault
+/// interpreter would have counted it. Only the privileged core can fault
 /// (`Expect`) or touch the cache; `cache` is `Some` exactly for it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_core_uops<const DIRECT: bool>(
@@ -607,9 +599,9 @@ pub(crate) fn run_core_uops<const DIRECT: bool>(
     counters: &mut PerfCounters,
     events: &mut Vec<HostEvent>,
     send_vals: &mut Vec<u16>,
-) -> Result<(), UopFault> {
+) -> Result<(), MachineError> {
     if DIRECT {
-        // Writes left in flight by a previous Vcycle on another engine
+        // Writes left in flight by a previous Vcycle on the interpreter
         // (e.g. the validation Vcycle) commit now; no read could have
         // observed them pending, so early commit is invisible.
         view.commit_due(u64::MAX);
@@ -741,7 +733,7 @@ pub(crate) fn run_core_uops<const DIRECT: bool>(
                         counters,
                         events,
                     ) {
-                        result = Err(UopFault { pos, err });
+                        result = Err(err);
                         break;
                     }
                 }

@@ -2,8 +2,8 @@
 //! that is snapshotted mid-flight and continued from the restored
 //! snapshot — on a fresh machine, or through a gang-lane round-trip
 //! (`fork(1)` then `into_machines()`) — is bit-identical to the run that
-//! was never interrupted, across every engine variant (interp / tape /
-//! uops × strict / permissive) and all nine workloads.
+//! was never interrupted, across every engine variant (interp / uops ×
+//! strict / permissive) and all nine workloads.
 //!
 //! The harness is property-style: the snapshot Vcycle is drawn from a
 //! local PRNG per (workload, variant), and the comparison is a full state
@@ -23,8 +23,7 @@ use manticore::isa::{
     Instruction, MachineConfig, Reg,
 };
 use manticore::machine::{
-    load_checkpoint, Checkpoint, CompiledProgram, GangMachine, Machine, MachineError, ReplayEngine,
-    MAX_LANES,
+    load_checkpoint, Checkpoint, CompiledProgram, GangMachine, Machine, MachineError, MAX_LANES,
 };
 use manticore::util::SmallRng;
 use manticore::workloads;
@@ -63,33 +62,22 @@ fn fingerprint(machine: &Machine, regfile_size: usize, grid: usize) -> Vec<u64> 
     fp
 }
 
-/// The full engine matrix the issue pins: interpreter, tape replay, and
-/// fused micro-ops, each under strict and permissive hazards.
-fn variants() -> Vec<(&'static str, bool, Option<ReplayEngine>, bool)> {
+/// The full engine matrix: the interpreter and the fused micro-op
+/// kernel, each under strict and permissive hazards.
+fn variants() -> Vec<(&'static str, bool, bool)> {
     vec![
-        ("interp+strict", false, None, true),
-        ("interp+permissive", false, None, false),
-        ("tape+strict", true, Some(ReplayEngine::Tape), true),
-        ("tape+permissive", true, Some(ReplayEngine::Tape), false),
-        ("uops+strict", true, Some(ReplayEngine::MicroOps), true),
-        ("uops+permissive", true, Some(ReplayEngine::MicroOps), false),
+        ("interp+strict", false, true),
+        ("interp+permissive", false, false),
+        ("uops+strict", true, true),
+        ("uops+permissive", true, false),
     ]
 }
 
-/// Boots a machine with a variant's knobs, in the same order the fleet's
-/// `SimJob::execute` applies them.
-fn boot(
-    program: &Arc<CompiledProgram>,
-    replay: bool,
-    engine: Option<ReplayEngine>,
-    strict: bool,
-) -> Machine {
+/// Boots a machine with a variant's knobs.
+fn boot(program: &Arc<CompiledProgram>, replay: bool, strict: bool) -> Machine {
     let mut m = Machine::from_program(Arc::clone(program));
     m.set_strict_hazards(strict);
     m.set_replay(replay);
-    if let Some(engine) = engine {
-        m.set_replay_engine(engine);
-    }
     m
 }
 
@@ -111,7 +99,7 @@ fn restored_and_forked_runs_are_bit_identical_to_uninterrupted_runs() {
     let rf = MachineConfig::with_grid(GRID, GRID).regfile_size;
     for w in workloads::all() {
         let (_, program) = compile_workload(w.name);
-        for (vname, replay, engine, strict) in variants() {
+        for (vname, replay, strict) in variants() {
             let what = format!("{} {vname}", w.name);
             // Property-style split point: random per (workload, variant),
             // strictly inside the run so the snapshot is genuinely
@@ -123,7 +111,7 @@ fn restored_and_forked_runs_are_bit_identical_to_uninterrupted_runs() {
 
             // The uninterrupted reference: run to the split, snapshot,
             // keep going on the same machine.
-            let mut original = boot(&program, replay, engine, strict);
+            let mut original = boot(&program, replay, strict);
             original
                 .run_vcycles(split)
                 .unwrap_or_else(|e| panic!("{what}: first segment: {e}"));
@@ -200,9 +188,9 @@ fn forked_children_match_solo_runs_given_the_same_mid_run_pokes() {
     let lanes = 4usize;
     let split = 7u64;
 
-    for (vname, replay, engine, strict) in variants() {
+    for (vname, replay, strict) in variants() {
         let what = format!("bc fork {vname}");
-        let mut root = boot(&program, replay, engine, strict);
+        let mut root = boot(&program, replay, strict);
         root.run_vcycles(split)
             .unwrap_or_else(|e| panic!("{what}: warmup: {e}"));
         let cp = root.checkpoint();

@@ -1,16 +1,20 @@
-//! Tape / micro-op edge cases: degenerate grids and programs that stress
-//! the replay lowerings' boundary conditions — empty-body (epilogue-only)
+//! Micro-op kernel edge cases: degenerate grids and programs that stress
+//! the replay split's boundary conditions — empty-body (epilogue-only)
 //! cores, all-NOP bodies, a 1×1 grid, a grid at the 256-dimension
-//! addressing limit, and Vcycles with zero sends. Every scenario runs
-//! through the serial interpreter, the sharded BSP engine, the tape
-//! replay, and the micro-op replay, and must agree bit-for-bit (or report
-//! the identical error). Netlist-level scenarios additionally sweep every
-//! backend through the unified `Simulator` trait.
+//! addressing limit, Vcycles with zero sends, competing hazards, and a
+//! hazard across the Vcycle boundary. Every scenario runs through the
+//! reference interpreter and the micro-op kernel, and must agree
+//! bit-for-bit (or report the identical error). Netlist-level scenarios
+//! additionally sweep every backend through the unified `Simulator`
+//! trait.
 
 use std::sync::Arc;
 
-use manticore::isa::{AluOp, Binary, CoreId, CoreImage, Instruction, MachineConfig, Reg};
-use manticore::machine::{ExecMode, GangMachine, Machine, MachineError, ReplayEngine};
+use manticore::isa::{
+    AluOp, Binary, CoreId, CoreImage, ExceptionDescriptor, ExceptionId, ExceptionKind, Instruction,
+    MachineConfig, Reg,
+};
+use manticore::machine::{GangMachine, Machine, MachineError};
 use manticore::netlist::NetlistBuilder;
 use manticore::sim::backends;
 
@@ -29,71 +33,42 @@ fn empty_binary(w: u32, h: u32, vcycle_len: u32) -> Binary {
     }
 }
 
-/// Every engine variant: serial and 2-shard parallel, with replay off, on
-/// the tape, and on micro-ops.
-fn variants() -> Vec<(String, ExecMode, Option<ReplayEngine>)> {
-    let mut v = Vec::new();
-    for (mode, mname) in [
-        (ExecMode::Serial, "serial"),
-        (ExecMode::Parallel { shards: 2 }, "2shards"),
-    ] {
-        for (replay, rname) in [
-            (None, ""),
-            (Some(ReplayEngine::Tape), "+replay"),
-            (Some(ReplayEngine::MicroOps), "+uops"),
-        ] {
-            v.push((format!("{mname}{rname}"), mode, replay));
-        }
-    }
-    v
-}
-
-fn configure(m: &mut Machine, mode: ExecMode, replay: Option<ReplayEngine>) {
-    m.set_exec_mode(mode);
-    match replay {
-        None => m.set_replay(false),
-        Some(e) => m.set_replay_engine(e),
-    }
-}
-
-/// Runs `vcycles` on every engine variant and asserts identical outcome,
-/// counters, and probed registers against the serial interpreter.
+/// Runs `vcycles` on the micro-op kernel and asserts identical outcome,
+/// counters, and probed registers against the interpreter.
 fn assert_engines_agree(config: &MachineConfig, binary: &Binary, vcycles: u64, probes: &[Reg]) {
     let mut reference = Machine::load(config.clone(), binary).expect("load");
     reference.set_replay(false);
     let ref_out = reference.run_vcycles(vcycles).expect("reference run");
 
-    for (what, mode, replay) in variants() {
-        let mut m = Machine::load(config.clone(), binary).expect("load");
-        configure(&mut m, mode, replay);
-        let out = m
-            .run_vcycles(vcycles)
-            .unwrap_or_else(|e| panic!("{what}: run failed: {e}"));
-        assert_eq!(ref_out.displays, out.displays, "{what}: displays");
-        assert_eq!(ref_out.vcycles_run, out.vcycles_run, "{what}: vcycles");
-        assert_eq!(reference.counters(), m.counters(), "{what}: counters");
-        assert_eq!(
-            reference.executed_per_core(),
-            m.executed_per_core(),
-            "{what}: executed"
-        );
-        for y in 0..config.grid_height as u8 {
-            for x in 0..config.grid_width as u8 {
-                for &p in probes {
-                    let core = CoreId::new(x, y);
-                    assert_eq!(
-                        reference.read_reg(core, p),
-                        m.read_reg(core, p),
-                        "{what}: {core} {p}"
-                    );
-                }
+    let mut m = Machine::load(config.clone(), binary).expect("load");
+    let out = m
+        .run_vcycles(vcycles)
+        .unwrap_or_else(|e| panic!("uops: run failed: {e}"));
+    assert_eq!(ref_out.displays, out.displays, "displays");
+    assert_eq!(ref_out.vcycles_run, out.vcycles_run, "vcycles");
+    assert_eq!(reference.counters(), m.counters(), "counters");
+    assert_eq!(reference.cache_stats(), m.cache_stats(), "cache stats");
+    assert_eq!(
+        reference.executed_per_core(),
+        m.executed_per_core(),
+        "executed"
+    );
+    for y in 0..config.grid_height as u8 {
+        for x in 0..config.grid_width as u8 {
+            for &p in probes {
+                let core = CoreId::new(x, y);
+                assert_eq!(
+                    reference.read_reg(core, p),
+                    m.read_reg(core, p),
+                    "{core} {p}"
+                );
             }
         }
     }
 }
 
-/// Runs on every engine variant and asserts all report the reference
-/// engine's error.
+/// Runs on the micro-op kernel and asserts it reports the interpreter's
+/// error.
 fn assert_engines_agree_on_error(
     config: &MachineConfig,
     binary: &Binary,
@@ -107,15 +82,10 @@ fn assert_engines_agree_on_error(
         .run_vcycles(vcycles)
         .expect_err("reference must fail");
 
-    for (what, mode, replay) in variants() {
-        let mut m = Machine::load(config.clone(), binary).expect("load");
-        m.set_strict_hazards(strict);
-        configure(&mut m, mode, replay);
-        let err = m
-            .run_vcycles(vcycles)
-            .expect_err(&format!("{what}: must fail"));
-        assert_eq!(ref_err, err, "{what}: error diverged");
-    }
+    let mut m = Machine::load(config.clone(), binary).expect("load");
+    m.set_strict_hazards(strict);
+    let err = m.run_vcycles(vcycles).expect_err("uops: must fail");
+    assert_eq!(ref_err, err, "error diverged");
     ref_err
 }
 
@@ -233,7 +203,7 @@ fn grid_at_the_256_dimension_limit() {
 
 #[test]
 fn zero_send_vcycles_run_on_every_engine() {
-    // Pure compute, empty delivery schedule: the replay lowerings' send
+    // Pure compute, empty delivery schedule: the micro-op kernel's send
     // collection and delivery phases see zero traffic.
     let mut binary = empty_binary(2, 1, 8);
     for x in 0..2u8 {
@@ -277,8 +247,8 @@ fn epilogue_only_core_fails_identically_on_every_engine() {
     // scheduled legally: its slot 0 issues at position 0, before any
     // message can arrive. Strict mode reports the empty slot at issue;
     // permissive mode reports the late delivery — identically on every
-    // engine (the failure happens in the validation Vcycle, so the replay
-    // lowerings never even engage).
+    // engine (the failure happens in the validation Vcycle, so the
+    // micro-op kernel never even engages).
     let mut binary = empty_binary(2, 1, 12);
     binary.cores.push(CoreImage {
         core: CoreId::new(0, 0),
@@ -330,11 +300,133 @@ fn epilogue_only_core_fails_identically_on_every_engine() {
 }
 
 #[test]
+fn ring_with_memory_and_displays_runs_on_every_engine() {
+    // A 2x2 grid where every core counts and sends its count around a
+    // ring, and the privileged core additionally stores and reloads
+    // through global memory and displays every Vcycle: every cross-core
+    // and host-visible mechanism in one program.
+    let ring = [
+        CoreId::new(0, 0),
+        CoreId::new(1, 0),
+        CoreId::new(1, 1),
+        CoreId::new(0, 1),
+    ];
+    let mut binary = empty_binary(2, 2, 16);
+    binary.exceptions.push(ExceptionDescriptor {
+        id: ExceptionId(0),
+        kind: ExceptionKind::Display {
+            format: "count = {}".into(),
+            args: vec![(vec![r(1)], 16)],
+        },
+    });
+    for (i, &core) in ring.iter().enumerate() {
+        let mut body = vec![
+            Instruction::Alu {
+                op: AluOp::Add,
+                rd: r(1),
+                rs1: r(1),
+                rs2: r(2),
+            },
+            Instruction::Nop,
+            Instruction::Send {
+                target: ring[(i + 1) % ring.len()],
+                rd_remote: r(5),
+                rs: r(1),
+            },
+        ];
+        if core == CoreId::PRIVILEGED {
+            body.extend([
+                Instruction::Predicate { rs: r(2) },
+                Instruction::GlobalStore {
+                    rs_data: r(1),
+                    rs_addr: [r(0), r(0), r(0)],
+                },
+                Instruction::Nop,
+                Instruction::GlobalLoad {
+                    rd: r(6),
+                    rs_addr: [r(0), r(0), r(0)],
+                },
+                Instruction::Expect {
+                    rs1: r(1),
+                    rs2: r(0),
+                    eid: 0,
+                },
+            ]);
+        }
+        body.resize(10, Instruction::Nop);
+        binary.cores.push(CoreImage {
+            core,
+            body,
+            epilogue_len: 1,
+            custom_functions: vec![],
+            init_regs: vec![(r(1), i as u16 * 10), (r(2), 1)],
+            init_scratch: vec![],
+        });
+    }
+    let config = MachineConfig {
+        hazard_latency: 2,
+        injection_latency: 2,
+        hop_latency: 1,
+        ..MachineConfig::with_grid(2, 2)
+    };
+    assert_engines_agree(&config, &binary, 5, &[r(1), r(5), r(6)]);
+}
+
+#[test]
+fn earliest_hazard_wins_on_every_engine() {
+    // Two cores, both with hazards: the error reported is the earlier
+    // (position, core) one — core (1,0) at position 2, not core (0,0) at
+    // position 4 — the interpreter's position-major encounter order.
+    let hazard_body = |filler: usize| {
+        let mut b = vec![Instruction::Nop; filler];
+        b.extend([
+            Instruction::Alu {
+                op: AluOp::Add,
+                rd: r(1),
+                rs1: r(2),
+                rs2: r(2),
+            },
+            Instruction::Alu {
+                op: AluOp::Add,
+                rd: r(3),
+                rs1: r(1),
+                rs2: r(2),
+            },
+        ]);
+        b
+    };
+    let mut binary = empty_binary(2, 1, 8);
+    for (x, filler) in [(0u8, 3), (1, 1)] {
+        binary.cores.push(CoreImage {
+            core: CoreId::new(x, 0),
+            body: hazard_body(filler),
+            epilogue_len: 0,
+            custom_functions: vec![],
+            init_regs: vec![(r(2), 5)],
+            init_scratch: vec![],
+        });
+    }
+    let config = MachineConfig {
+        hazard_latency: 2,
+        ..MachineConfig::with_grid(2, 1)
+    };
+    let err = assert_engines_agree_on_error(&config, &binary, 1, true);
+    assert_eq!(
+        err,
+        MachineError::Hazard {
+            core: CoreId::new(1, 0),
+            position: 2,
+            reg: r(1),
+        }
+    );
+}
+
+#[test]
 fn simulator_trait_sweeps_degenerate_netlists() {
     // The same edge shapes at the `Simulator` level: a 1x1-grid counter
     // and a design whose state never changes, across every backend
-    // `backends()` constructs (interpreter, tape replay, micro-op replay,
-    // sharded BSP, and both Verilator-analog executors).
+    // `backends()` constructs (interpreter, micro-op kernel, fleet, gang,
+    // and both Verilator-analog executors).
     for (label, grid, constant) in [("counter-1x1", 1usize, false), ("constant-2x2", 2, true)] {
         let mut b = NetlistBuilder::new(label);
         let reg = b.reg("state", 16, 5);

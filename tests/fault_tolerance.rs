@@ -5,15 +5,13 @@
 //! clean run (injection may kill work, never corrupt it), and (3) report
 //! the exact same outcome labels run after run, at any worker count.
 //!
-//! The matrix: mm/bc workloads × tape/uops replay engines × the three
-//! execution planes (per-job fleet, lane-batched gangs, scenario-tree
-//! exploration).
+//! The matrix: mm/bc workloads × the three execution planes (per-job
+//! fleet, lane-batched gangs, scenario-tree exploration).
 
 use std::sync::Arc;
 
 use manticore::fleet::{ExploreConfig, FleetSim};
 use manticore::isa::MachineConfig;
-use manticore::machine::ReplayEngine;
 use manticore::workloads;
 use manticore_fleet::{BatchPolicy, FaultPlan, Fleet, JobOutcome, JobOutput, SimJob};
 
@@ -36,20 +34,11 @@ fn compile(wname: &str) -> (Arc<manticore::machine::CompiledProgram>, usize) {
     (program, config.regfile_size)
 }
 
-/// The job set for one workload: jobs alternate the two replay lowerings
-/// (tape / micro-ops) so one batch covers the engine axis of the matrix.
+/// The job set for one workload: staggered budgets, in pairs, so every
+/// pair of jobs is distinguishable from its neighbours.
 fn job_set(program: &Arc<manticore::machine::CompiledProgram>) -> Vec<SimJob> {
     (0..N_JOBS)
-        .map(|i| {
-            let engine = if i % 2 == 0 {
-                ReplayEngine::Tape
-            } else {
-                ReplayEngine::MicroOps
-            };
-            SimJob::new(program, VCYCLES + (i / 2) as u64)
-                .replay(true)
-                .replay_engine(engine)
-        })
+        .map(|i| SimJob::new(program, VCYCLES + (i / 2) as u64))
         .collect()
 }
 
@@ -149,14 +138,7 @@ fn gang_faults_park_one_lane_and_panics_kill_one_gang() {
         let fleet = FleetSim::compile(&w.netlist, MachineConfig::with_grid(GRID, GRID), 4)
             .unwrap_or_else(|e| panic!("{wname}: fleet compile failed: {e}"));
         let jobs = || -> Vec<manticore::fleet::FleetJob> {
-            (0..N_JOBS)
-                .map(|_| {
-                    fleet
-                        .job(VCYCLES)
-                        .replay(true)
-                        .replay_engine(ReplayEngine::MicroOps)
-                })
-                .collect()
+            (0..N_JOBS).map(|_| fleet.job(VCYCLES)).collect()
         };
 
         // 8 compatible jobs at 4 lanes = two gangs: jobs 0..4 and 4..8.

@@ -4,7 +4,7 @@
 //! the outputs come back in submission order.
 //!
 //! This is the across-runs analog of `parallel_grid_equivalence.rs`
-//! (which pins the within-run engines): scheduling may only change *when*
+//! (which pins the within-run engine to the interpreter): scheduling may only change *when*
 //! a job runs, never *what* it computes.
 
 use std::sync::Arc;
@@ -12,7 +12,7 @@ use std::sync::Arc;
 use manticore::bits::Bits;
 use manticore::fleet::{FleetJob, FleetSim};
 use manticore::isa::MachineConfig;
-use manticore::machine::{ExecMode, Machine, ReplayEngine};
+use manticore::machine::Machine;
 use manticore::util::SmallRng;
 use manticore::workloads;
 use manticore_fleet::{Fleet, JobOutput, SimJob};
@@ -39,18 +39,13 @@ fn rtl_regs(machine: &Machine, out: &manticore::compiler::CompileOutput) -> Vec<
         .collect()
 }
 
-/// The engine-knob variants every job set cycles through.
-fn variants() -> Vec<(&'static str, Option<ExecMode>, Option<ReplayEngine>, bool)> {
+/// The hazard-mode variants every job set cycles through: the machine's
+/// default, and each mode set explicitly.
+fn variants() -> Vec<(&'static str, Option<bool>)> {
     vec![
-        ("uops", None, Some(ReplayEngine::MicroOps), true),
-        ("tape", None, Some(ReplayEngine::Tape), true),
-        ("interp", None, None, false),
-        (
-            "parallel2+uops",
-            Some(ExecMode::Parallel { shards: 2 }),
-            Some(ReplayEngine::MicroOps),
-            true,
-        ),
+        ("default", None),
+        ("strict", Some(true)),
+        ("permissive", Some(false)),
     ]
 }
 
@@ -68,21 +63,16 @@ fn fleet_jobs_are_bit_identical_to_alone_runs() {
         // nonce per variant so inputs genuinely differ between jobs.
         let mut jobs: Vec<FleetJob> = Vec::new();
         let mut alone: Vec<manticore::ManticoreSim> = Vec::new();
-        for (vi, (_, mode, engine, replay)) in variants().into_iter().enumerate() {
-            let mut job = fleet.job(VCYCLES).replay(replay);
+        for (vi, (_, strict)) in variants().into_iter().enumerate() {
+            let mut job = fleet.job(VCYCLES);
             let mut solo = manticore::ManticoreSim::from_output(
                 output.clone(),
                 fleet.program().config().clone(),
             )
             .unwrap();
-            solo.set_replay(replay);
-            if let Some(mode) = mode {
-                job = job.exec_mode(mode);
-                solo.set_exec_mode(mode);
-            }
-            if let Some(engine) = engine {
-                job = job.replay_engine(engine);
-                solo.set_replay_engine(engine);
+            if let Some(strict) = strict {
+                job = job.strict_hazards(strict);
+                solo.set_strict_hazards(strict);
             }
             if wname == "bc" {
                 let nonce = (vi as u64 + 1) << 20;
@@ -133,7 +123,7 @@ fn fleet_jobs_are_bit_identical_to_alone_runs() {
 
 /// Builds the machine-level job set for the worker-count / submission
 /// order sweeps: one shared program; job *i* gets variant `order[i]`'s
-/// engine knobs and a Vcycle budget staggered by the variant index, so
+/// hazard mode and a Vcycle budget staggered by the variant index, so
 /// the jobs are genuinely distinguishable in their outcomes.
 fn machine_job_set(
     program: &Arc<manticore::machine::CompiledProgram>,
@@ -143,18 +133,14 @@ fn machine_job_set(
     order
         .iter()
         .map(|&i| {
-            let (_, mode, engine, replay) = variants[i % variants.len()];
+            let (_, strict) = variants[i % variants.len()];
             // Distinct budgets (30, 31, 32, ...) make every job's final
             // state unique, so a mixed-up result slot cannot pass.
-            let mut job =
-                SimJob::new(program, VCYCLES + (i / variants.len()) as u64).replay(replay);
-            if let Some(mode) = mode {
-                job = job.exec_mode(mode);
+            let job = SimJob::new(program, VCYCLES + (i / variants.len()) as u64);
+            match strict {
+                Some(strict) => job.strict_hazards(strict),
+                None => job,
             }
-            if let Some(engine) = engine {
-                job = job.replay_engine(engine);
-            }
-            job
         })
         .collect()
 }

@@ -1,7 +1,7 @@
 //! The gang engine must be architecturally invisible: a K-lane lockstep
 //! gang — one micro-op fetch per gang, lane-major machine state — yields
 //! bit-identical per-lane outcomes to K solo `ManticoreSim` runs, across
-//! lane counts, replay lowerings, and hazard strictness, with full
+//! lane counts and hazard strictness, with full
 //! register-file fingerprints. A lane that faults mid-run parks with the
 //! solo run's exact error and state while the surviving lanes finish
 //! unchanged.
@@ -15,7 +15,7 @@ use std::sync::Arc;
 use manticore::bits::Bits;
 use manticore::fleet::{FleetJob, FleetSim};
 use manticore::isa::MachineConfig;
-use manticore::machine::{Machine, ReplayEngine};
+use manticore::machine::{GangMachine, Machine};
 use manticore::netlist::NetlistBuilder;
 use manticore::workloads;
 
@@ -49,15 +49,9 @@ fn fingerprint(machine: &Machine, regfile_size: usize, grid: usize) -> Vec<u64> 
     fp
 }
 
-/// The engine-knob matrix the issue pins: both replay lowerings, strict
-/// and permissive hazards.
-fn variants() -> Vec<(&'static str, ReplayEngine, bool)> {
-    vec![
-        ("uops+strict", ReplayEngine::MicroOps, true),
-        ("uops+permissive", ReplayEngine::MicroOps, false),
-        ("tape+strict", ReplayEngine::Tape, true),
-        ("tape+permissive", ReplayEngine::Tape, false),
-    ]
+/// The hazard modes a gang runs under.
+fn variants() -> Vec<(&'static str, bool)> {
+    vec![("strict", true), ("permissive", false)]
 }
 
 #[test]
@@ -74,7 +68,7 @@ fn gang_lanes_bit_identical_to_solo_runs() {
         let rf = config.regfile_size;
 
         for lanes in [1usize, 2, 8] {
-            for (vname, engine, strict) in variants() {
+            for (vname, strict) in variants() {
                 let what = format!("{wname} lanes {lanes} {vname}");
 
                 // K identically-knobbed jobs (one gang) with per-lane
@@ -82,16 +76,12 @@ fn gang_lanes_bit_identical_to_solo_runs() {
                 let mut jobs: Vec<FleetJob> = Vec::new();
                 let mut solos: Vec<manticore::ManticoreSim> = Vec::new();
                 for lane in 0..lanes {
-                    let mut job = fleet
-                        .job(VCYCLES)
-                        .replay_engine(engine)
-                        .strict_hazards(strict);
+                    let mut job = fleet.job(VCYCLES).strict_hazards(strict);
                     let mut solo = manticore::ManticoreSim::from_program(
                         Arc::clone(fleet.program()),
                         output.clone(),
                     );
                     solo.set_strict_hazards(strict);
-                    solo.set_replay_engine(engine);
                     if wname == "bc" {
                         let nonce = ((lane as u64) + 1) << 20;
                         job = job.with_reg("nonce0", nonce).unwrap();
@@ -129,6 +119,65 @@ fn gang_lanes_bit_identical_to_solo_runs() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn rearming_strict_hazards_after_ganged_vcycles_runs_lanes_solo() {
+    // Permissive ganged Vcycles, then strict hazards re-armed: the
+    // micro-ops no longer hold for this run, so the gang falls back to
+    // stepping each lane solo out of its lane-major state — and must stay
+    // bit-identical to solo machines switched the same way.
+    let w = workloads::by_name("bc").unwrap();
+    let config = MachineConfig::with_grid(GRID, GRID);
+    let fleet = FleetSim::compile(&w.netlist, config.clone(), 1).unwrap();
+    let output = Arc::clone(fleet.output());
+    let rf = config.regfile_size;
+    let lanes = 3usize;
+    let split = 6;
+
+    let mut gang = GangMachine::from_program(Arc::clone(fleet.program()), lanes);
+    gang.set_strict_hazards(false);
+    let mut solos: Vec<manticore::ManticoreSim> = Vec::new();
+    for lane in 0..lanes {
+        let nonce = ((lane as u64) + 1) << 20;
+        for (core, reg, word) in manticore::rtl_reg_words(&output, "nonce0", nonce).unwrap() {
+            gang.poke_reg(lane, core, reg, word);
+        }
+        let mut solo =
+            manticore::ManticoreSim::from_program(Arc::clone(fleet.program()), output.clone());
+        solo.set_strict_hazards(false);
+        assert!(solo.write_rtl_reg_by_name("nonce0", nonce));
+        solos.push(solo);
+    }
+
+    let head = gang.run_vcycles(split);
+    gang.set_strict_hazards(true);
+    let tail = gang.run_vcycles(VCYCLES - split);
+    for (lane, solo) in solos.iter_mut().enumerate() {
+        let solo_head = solo.run(split).unwrap();
+        solo.set_strict_hazards(true);
+        let solo_tail = solo.run(VCYCLES - split).unwrap();
+        let (gh, gt) = (head[lane].as_ref().unwrap(), tail[lane].as_ref().unwrap());
+        assert_eq!(
+            gh.displays, solo_head.displays,
+            "lane {lane}: ganged displays"
+        );
+        assert_eq!(
+            gt.displays, solo_tail.displays,
+            "lane {lane}: solo-lane displays"
+        );
+        assert_eq!(
+            gt.vcycles_run, solo_tail.vcycles_run,
+            "lane {lane}: vcycles"
+        );
+    }
+    for (lane, machine) in gang.into_machines().iter().enumerate() {
+        assert_eq!(
+            fingerprint(machine, rf, GRID),
+            fingerprint(solos[lane].machine(), rf, GRID),
+            "lane {lane}: solo fallback diverged"
+        );
     }
 }
 

@@ -1,9 +1,9 @@
-//! The sharded BSP grid engine and both validate-once / replay-many
-//! lowerings (pre-decoded tape, fused micro-op stream) must be
-//! bit-identical to the plain serial grid engine on every real workload:
-//! same final register state, same displays, same `PerfCounters` — at 1,
-//! 2, and 4 shards, with replay off, on the tape, and on micro-ops, under
-//! strict and permissive hazard checking.
+//! The machine's one fast kernel — the fused micro-op stream the
+//! validate-once / replay-many split runs after the validation Vcycle —
+//! must be bit-identical to the position-by-position reference
+//! interpreter on every real workload: same final register state, same
+//! displays, same `PerfCounters`, same cache statistics, under strict and
+//! permissive hazard checking.
 //!
 //! This is the machine-side analog of `backend_agreement.rs` (which covers
 //! the Verilator-analog tape executors): together they pin down that every
@@ -13,40 +13,11 @@
 use manticore::bits::Bits;
 use manticore::compiler::{compile, CompileOptions};
 use manticore::isa::MachineConfig;
-use manticore::machine::{ExecMode, Machine, ReplayEngine};
+use manticore::machine::Machine;
 use manticore::workloads;
 
-const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 const GRID: usize = 6;
 const VCYCLES: u64 = 40;
-
-/// The replay column of the engine sweep: off, tape, or micro-ops.
-#[derive(Clone, Copy, PartialEq)]
-enum Replay {
-    Off,
-    Tape,
-    MicroOps,
-}
-
-impl Replay {
-    const ALL: [Replay; 3] = [Replay::Off, Replay::Tape, Replay::MicroOps];
-
-    fn label(self) -> &'static str {
-        match self {
-            Replay::Off => "",
-            Replay::Tape => "+replay",
-            Replay::MicroOps => "+uops",
-        }
-    }
-
-    fn apply(self, m: &mut Machine) {
-        match self {
-            Replay::Off => m.set_replay(false),
-            Replay::Tape => m.set_replay_engine(ReplayEngine::Tape),
-            Replay::MicroOps => m.set_replay_engine(ReplayEngine::MicroOps),
-        }
-    }
-}
 
 /// Reads every RTL register back out of the machine's register files using
 /// the compiler's placement metadata.
@@ -67,88 +38,45 @@ fn rtl_regs(machine: &Machine, out: &manticore::compiler::CompileOutput) -> Vec<
         .collect()
 }
 
-/// Sweeps every engine combination against the plain serial interpreter
-/// on every workload, under the given hazard mode.
+/// Runs the micro-op kernel against the interpreter on every workload,
+/// under the given hazard mode.
 fn sweep_all_workloads(strict: bool) {
+    let mode = if strict { "strict" } else { "permissive" };
     for w in workloads::all() {
+        let what = format!("{} ({mode})", w.name);
         let config = MachineConfig::with_grid(GRID, GRID);
         let options = CompileOptions {
             config: config.clone(),
             ..Default::default()
         };
-        let out = compile(&w.netlist, &options)
-            .unwrap_or_else(|e| panic!("{}: compile failed: {e}", w.name));
-
-        // Reference: the plain position-by-position serial interpreter.
-        let mut serial = Machine::load(config.clone(), &out.binary)
-            .unwrap_or_else(|e| panic!("{}: load failed: {e}", w.name));
-        serial.set_strict_hazards(strict);
-        serial.set_replay(false);
-        let s_run = serial
-            .run_vcycles(VCYCLES)
-            .unwrap_or_else(|e| panic!("{}: serial run failed: {e}", w.name));
-        let s_regs = rtl_regs(&serial, &out);
-
-        // Sweep every fast path against it: both serial replay lowerings,
-        // and the sharded BSP engine with every replay column.
-        let mut variants: Vec<(String, ExecMode, Replay)> = vec![
-            ("serial+replay".into(), ExecMode::Serial, Replay::Tape),
-            ("serial+uops".into(), ExecMode::Serial, Replay::MicroOps),
-        ];
-        for shards in SHARD_COUNTS {
-            for replay in Replay::ALL {
-                variants.push((
-                    format!("{shards} shards{}", replay.label()),
-                    ExecMode::Parallel { shards },
-                    replay,
-                ));
-            }
-        }
-        for (what, mode, replay) in variants {
-            let what = format!("{what} ({})", if strict { "strict" } else { "permissive" });
-            let mut par = Machine::load(config.clone(), &out.binary).unwrap();
-            par.set_strict_hazards(strict);
-            par.set_exec_mode(mode);
-            replay.apply(&mut par);
-            let p_run = par
+        let out =
+            compile(&w.netlist, &options).unwrap_or_else(|e| panic!("{what}: compile failed: {e}"));
+        let run = |replay: bool| {
+            let mut m = Machine::load(config.clone(), &out.binary)
+                .unwrap_or_else(|e| panic!("{what}: load failed: {e}"));
+            m.set_strict_hazards(strict);
+            m.set_replay(replay);
+            let outcome = m
                 .run_vcycles(VCYCLES)
-                .unwrap_or_else(|e| panic!("{}: {what} run failed: {e}", w.name));
+                .unwrap_or_else(|e| panic!("{what}: run (replay {replay}) failed: {e}"));
+            (m, outcome)
+        };
+        let (interp, i_run) = run(false);
+        let (uops, u_run) = run(true);
 
-            assert_eq!(
-                s_run.displays, p_run.displays,
-                "{}: displays diverged at {what}",
-                w.name
-            );
-            assert_eq!(
-                s_run.finished, p_run.finished,
-                "{}: finish flag diverged at {what}",
-                w.name
-            );
-            assert_eq!(
-                s_run.vcycles_run, p_run.vcycles_run,
-                "{}: vcycle count diverged at {what}",
-                w.name
-            );
-            assert_eq!(
-                serial.counters(),
-                par.counters(),
-                "{}: PerfCounters diverged at {what}",
-                w.name
-            );
-            assert_eq!(
-                serial.cache_stats(),
-                par.cache_stats(),
-                "{}: cache stats diverged at {what}",
-                w.name
-            );
-            let p_regs = rtl_regs(&par, &out);
-            for (ri, reg) in out.optimized.registers().iter().enumerate() {
-                assert_eq!(
-                    s_regs[ri], p_regs[ri],
-                    "{}: register `{}` diverged at {what}",
-                    w.name, reg.name
-                );
-            }
+        assert_eq!(i_run.displays, u_run.displays, "{what}: displays");
+        assert_eq!(i_run.finished, u_run.finished, "{what}: finish flag");
+        assert_eq!(i_run.vcycles_run, u_run.vcycles_run, "{what}: vcycles");
+        assert_eq!(interp.counters(), uops.counters(), "{what}: PerfCounters");
+        assert_eq!(
+            interp.cache_stats(),
+            uops.cache_stats(),
+            "{what}: cache stats"
+        );
+        let i_regs = rtl_regs(&interp, &out);
+        let u_regs = rtl_regs(&uops, &out);
+        for (ri, reg) in out.optimized.registers().iter().enumerate() {
+            assert_eq!(i_regs[ri], u_regs[ri], "{what}: register `{}`", reg.name);
         }
     }
 }
@@ -168,10 +96,9 @@ fn parallel_grid_is_bit_identical_on_all_workloads_permissive() {
 
 #[test]
 fn replay_mode_switches_are_seamless() {
-    // Replay can be toggled, lowerings swapped, and engines switched
-    // between `run_vcycles` calls without perturbing a single
-    // architectural bit: the machine state at every Vcycle boundary is
-    // engine-independent.
+    // Replay can be toggled between `run_vcycles` calls without
+    // perturbing a single architectural bit: the machine state at every
+    // Vcycle boundary is engine-independent.
     let w = workloads::by_name("mm").unwrap();
     let config = MachineConfig::with_grid(GRID, GRID);
     let options = CompileOptions {
@@ -185,51 +112,19 @@ fn replay_mode_switches_are_seamless() {
     reference.run_vcycles(36).unwrap();
 
     let mut mixed = Machine::load(config.clone(), &out.binary).unwrap();
-    mixed.run_vcycles(6).unwrap(); // validation + micro-op replay (default)
-    mixed.set_replay_engine(ReplayEngine::Tape);
-    mixed.run_vcycles(6).unwrap(); // tape replay
+    mixed.run_vcycles(6).unwrap(); // validation + micro-ops (default)
     mixed.set_replay(false);
-    mixed.run_vcycles(6).unwrap(); // full interpreter
-    mixed.set_exec_mode(ExecMode::Parallel { shards: 3 });
+    mixed.run_vcycles(6).unwrap(); // interpreter
     mixed.set_replay(true);
-    mixed.set_replay_engine(ReplayEngine::MicroOps);
-    mixed.run_vcycles(6).unwrap(); // parallel micro-op replay
-    mixed.set_replay_engine(ReplayEngine::Tape);
-    mixed.run_vcycles(6).unwrap(); // parallel tape replay
-    mixed.set_exec_mode(ExecMode::Serial);
-    mixed.set_replay_engine(ReplayEngine::MicroOps);
-    mixed.run_vcycles(6).unwrap(); // serial micro-op replay
+    mixed.run_vcycles(12).unwrap(); // micro-ops again
+    mixed.set_replay(false);
+    mixed.run_vcycles(6).unwrap(); // interpreter
+    mixed.set_replay(true);
+    mixed.run_vcycles(6).unwrap(); // micro-ops
     assert_eq!(reference.counters(), mixed.counters());
     let a = rtl_regs(&reference, &out);
     let b = rtl_regs(&mixed, &out);
     for (ri, reg) in out.optimized.registers().iter().enumerate() {
         assert_eq!(a[ri], b[ri], "register `{}` diverged", reg.name);
-    }
-}
-
-#[test]
-fn parallel_grid_counters_independent_of_shard_count() {
-    // The deterministic-aggregation guarantee of `PerfCounters::merge_from`,
-    // observed end-to-end: whatever the shard count, the counter totals are
-    // the same numbers.
-    let w = workloads::by_name("mm").unwrap();
-    let config = MachineConfig::with_grid(GRID, GRID);
-    let options = CompileOptions {
-        config: config.clone(),
-        ..Default::default()
-    };
-    let out = compile(&w.netlist, &options).unwrap();
-
-    let mut reference = None;
-    for shards in [1, 2, 3, 4, 5, 7] {
-        let mut m = Machine::load(config.clone(), &out.binary).unwrap();
-        m.set_exec_mode(ExecMode::Parallel { shards });
-        m.run_vcycles(25).unwrap();
-        let c = m.counters();
-        assert!(c.instructions > 0 && c.sends > 0, "workload must be busy");
-        match &reference {
-            None => reference = Some(c),
-            Some(r) => assert_eq!(*r, c, "counters changed between shard counts ({shards})"),
-        }
     }
 }
