@@ -13,9 +13,9 @@
 //!
 //! - [`SimJob`] — the description of one simulation: which program, the
 //!   per-run input vector (register pokes applied before the first
-//!   Vcycle), the hazard strictness, and the Vcycle budget. A job can also *resume* an
-//!   existing [`Machine`] ([`SimJob::resume`]), which is how a fleet
-//!   drives long-running simulations in slices.
+//!   Vcycle), the hazard strictness, and the Vcycle budget. A job can
+//!   also *resume* an existing [`Machine`] ([`SimJob::resume`]), which is
+//!   how a fleet drives long-running simulations in slices.
 //! - [`Fleet`] — a fixed pool of worker threads driven by a work-stealing
 //!   scheduler: jobs are dealt round-robin into per-worker queues, each
 //!   worker drains its own queue from the front and steals from the back

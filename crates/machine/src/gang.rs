@@ -54,8 +54,8 @@
 //!
 //! **Bit-identity.** The equivalence suite (`tests/gang_equivalence.rs`)
 //! pins the ganged path to K solo runs bit for bit: registers, counters,
-//! displays, and errors — across lane counts, the interpreter and the
-//! micro-op kernel, and hazard strictness.
+//! displays, and errors — across lane counts, hazard strictness, and
+//! the per-lane solo fallback.
 
 use std::sync::Arc;
 
@@ -467,9 +467,9 @@ impl GangMachine {
                 // Validation Vcycle, unreplayable program, disabled replay,
                 // invalidated tape, or a strict check only the interpreter
                 // makes: step each lane through the solo step (one source
-                // of truth for those paths). In the solo phase that is copy-free; after
-                // the gang has interleaved it gathers/scatters the lane
-                // through its shell.
+                // of truth for those paths). In the solo phase that is
+                // copy-free; after the gang has interleaved it
+                // gathers/scatters the lane through its shell.
                 //
                 // Trusted validation: everything the validation Vcycle
                 // proves — link collisions, delivery timing, epilogue

@@ -1,7 +1,8 @@
 //! A spinning barrier: the arrive-await rendezvous the macro-task
-//! baseline uses between phases (and the fleet at batch start). `std::sync::Barrier` parks threads on a
-//! mutex/condvar, costing microseconds per rendezvous — enough to drown
-//! the fine-grain synchronization effects §7.1 of the paper measures.
+//! baseline uses between phases (and the fleet at batch start).
+//! `std::sync::Barrier` parks threads on a mutex/condvar, costing
+//! microseconds per rendezvous — enough to drown the fine-grain
+//! synchronization effects §7.1 of the paper measures.
 //! Spinning keeps the rendezvous in the hundreds-of-nanoseconds regime of
 //! the paper's testbeds.
 //!

@@ -4,8 +4,8 @@
 //! the outputs come back in submission order.
 //!
 //! This is the across-runs analog of `parallel_grid_equivalence.rs`
-//! (which pins the within-run engine to the interpreter): scheduling may only change *when*
-//! a job runs, never *what* it computes.
+//! (which pins the within-run kernel to the interpreter): scheduling may
+//! only change *when* a job runs, never *what* it computes.
 
 use std::sync::Arc;
 
