@@ -155,6 +155,36 @@ pub fn compile_for_grid(
     compile(netlist, &options).expect("workload must compile")
 }
 
+/// The host a measurement ran on: nproc, the CPU model from
+/// `/proc/cpuinfo` and `rustc -V` (`unknown` where unavailable). Baselines
+/// with absolute times carry it so a host change shows in the gate.
+pub fn host_block() -> json::Val {
+    use json::Val;
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    let rustc = std::process::Command::new("rustc")
+        .arg("-V")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    Val::obj(vec![
+        ("nproc", Val::Int(nproc as u64)),
+        ("cpu", Val::Str(cpu)),
+        ("rustc", Val::Str(rustc)),
+    ])
+}
+
 /// Times a closure, returning (result, seconds).
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();

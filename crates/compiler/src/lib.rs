@@ -15,12 +15,12 @@
 //!    allocation, current/next coalescing, binary emission ([`regalloc`]).
 //!
 //! The manager wraps every pass with wall-time and IR-size instrumentation
-//! ([`report::PassStat`]). [`CompileOptions::compile_threads`] selects the
-//! pipeline implementation: `1` (the default) is the reference serial
-//! pipeline; `> 1` fans the heavy passes out over a scoped worker pool and
-//! uses restructured inner algorithms whose outputs are **bit-identical**
-//! to the serial pipeline — the compile-determinism suite compares the
-//! emitted binaries byte-for-byte across thread counts.
+//! ([`report::PassStat`]). There is one pipeline, single-threaded, with one
+//! implementation per pass. Where a pass uses an incremental or
+//! vector-indexed algorithm in place of the paper's straightforward
+//! formulation (the balanced merge, dependency-graph construction,
+//! register allocation), the straightforward one is kept as a test oracle
+//! and the two are asserted decision-for-decision equal.
 //!
 //! Both intermediate representations are executable: the netlist via
 //! `manticore_netlist::eval` and the lower assembly via [`interp`] — the
@@ -58,6 +58,8 @@ pub mod report;
 pub mod schedule;
 
 #[cfg(test)]
+mod reference;
+#[cfg(test)]
 mod tests;
 
 use manticore_isa::{Binary, MachineConfig};
@@ -81,10 +83,6 @@ pub struct CompileOptions {
     pub custom_functions: bool,
     /// Enable netlist-level optimization.
     pub netlist_opt: bool,
-    /// Compiler worker threads. `1` (the default) runs the reference
-    /// serial pipeline; `> 1` runs the parallel pipeline (bit-identical
-    /// output); `0` resolves to `max(2, available_parallelism)`.
-    pub compile_threads: usize,
 }
 
 impl Default for CompileOptions {
@@ -94,22 +92,6 @@ impl Default for CompileOptions {
             partition: PartitionStrategy::Balanced,
             custom_functions: true,
             netlist_opt: true,
-            compile_threads: 1,
-        }
-    }
-}
-
-impl CompileOptions {
-    /// The worker count the pipeline will actually run with: `0` resolves
-    /// to `max(2, available_parallelism)` (auto always picks the parallel
-    /// pipeline — its restructured passes win even on one CPU), any other
-    /// value is taken as-is.
-    pub fn resolved_compile_threads(&self) -> usize {
-        match self.compile_threads {
-            0 => std::thread::available_parallelism()
-                .map_or(2, |n| n.get())
-                .max(2),
-            n => n,
         }
     }
 }
@@ -166,8 +148,7 @@ pub fn compile_controlled(
     options: &CompileOptions,
     control: &CompileControl,
 ) -> Result<CompileOutput, CompileError> {
-    let threads = options.resolved_compile_threads();
-    let mut ctx = CompileCtx::new(netlist, options, threads);
+    let mut ctx = CompileCtx::new(netlist, options);
     ctx.control = control.clone();
     PassManager::standard().run(&mut ctx)?;
 

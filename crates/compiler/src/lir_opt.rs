@@ -99,31 +99,24 @@ pub fn dce(proc: &mut Process) {
 }
 
 /// Runs CSE then DCE on every process, keeping the exception table's
-/// display-argument vregs consistent.
+/// display-argument vregs consistent with the privileged process's
+/// substitution.
 pub fn optimize(prog: &mut crate::lir::LirProgram) {
-    optimize_threaded(prog, 1);
-}
-
-/// [`optimize`], with the per-process work fanned out over `threads`
-/// workers. Each process's CSE/DCE is independent; the privileged
-/// process's substitution is applied to the exception table afterwards.
-/// Bit-identical to the serial run at any thread count.
-pub fn optimize_threaded(prog: &mut crate::lir::LirProgram, threads: usize) {
     let priv_idx = prog.processes.iter().position(|p| p.is_privileged);
-    let substs = manticore_util::parallel_map_mut(&mut prog.processes, threads, |_, p| {
+    let mut priv_subst = HashMap::new();
+    for (pi, p) in prog.processes.iter_mut().enumerate() {
         let subst = cse(p);
         dce(p);
-        subst
-    });
-    if let Some(pi) = priv_idx {
-        let subst = &substs[pi];
-        for e in &mut prog.exceptions {
-            if let crate::lir::LirExceptionKind::Display { args, .. } = e {
-                for (regs, _) in args {
-                    for r in regs {
-                        if let Some(&s) = subst.get(r) {
-                            *r = s;
-                        }
+        if Some(pi) == priv_idx {
+            priv_subst = subst;
+        }
+    }
+    for e in &mut prog.exceptions {
+        if let crate::lir::LirExceptionKind::Display { args, .. } = e {
+            for (regs, _) in args {
+                for r in regs {
+                    if let Some(&s) = priv_subst.get(r) {
+                        *r = s;
                     }
                 }
             }

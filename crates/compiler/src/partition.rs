@@ -22,31 +22,13 @@
 //!   longest-processing-time-first baseline the paper evaluates against
 //!   (Fig. 9 / Table 4).
 //!
-//! # Parallel structure and determinism
-//!
-//! [`partition_threaded`] decomposes the pass into an embarrassingly
-//! parallel cone phase (each seed's fan-in closure is independent given the
-//! def table), a **serial** merge (the greedy loop is a sequential decision
-//! process), and an embarrassingly parallel materialization (each surviving
-//! unit rebuilds its instruction list independently; Sends and the
-//! exception remap are appended serially afterwards). Parallel stages fan
-//! out with [`manticore_util::parallel_map`], which assigns results to
-//! pre-determined slots — output is a pure function of the index, so the
-//! pass is bit-identical at any thread count.
-//!
-//! At `threads > 1` the balanced merge switches to
-//! `merge_balanced_fast`, an incremental-bookkeeping reimplementation
-//! that replays the reference greedy loop's *exact* decision sequence
-//! (same cheapest-unit, partner, and stop decisions, including
-//! first-minimal tie-breaks) while replacing the reference's
-//! O(units² · states) rescans with cached per-unit costs, per-state live
-//! reader counts, and masked-popcount union costs. A unit test checks the
-//! two merges agree on every workload-sized program; the end-to-end
-//! compile-determinism suite checks the emitted binaries byte-for-byte.
+//! The balanced merge keeps its bookkeeping incremental: cached per-unit
+//! costs, per-state live-reader counts and masked-popcount union costs
+//! replace the O(units² · states) rescans of the paper's formulation. That
+//! formulation is kept as a test oracle (`crate::reference`), and the
+//! oracle tests assert that both produce the same merge sets.
 
 use std::collections::{BTreeSet, HashMap};
-
-use manticore_util::parallel_map;
 
 use crate::bitset::BitSet;
 use crate::error::CompileError;
@@ -71,54 +53,25 @@ pub enum PartitionStrategy {
 /// One mergeable unit: a cone of monolithic instructions plus its state
 /// interface.
 #[derive(Debug, Clone)]
-struct Unit {
-    instrs: BitSet,
+pub(crate) struct Unit {
+    pub(crate) instrs: BitSet,
     /// Deduplicated instruction cost (weighted popcount of `instrs`).
-    base_cost: usize,
+    pub(crate) base_cost: usize,
     /// States committed inside this unit.
-    commits: BTreeSet<StateId>,
+    pub(crate) commits: BTreeSet<StateId>,
     /// States read (live-in) by this unit.
-    reads: BTreeSet<StateId>,
+    pub(crate) reads: BTreeSet<StateId>,
 }
 
-/// Splits and merges the monolithic program onto `num_cores` cores using
-/// the reference serial pipeline (`threads = 1`).
-///
-/// # Panics
-///
-/// Panics if `prog` is not monolithic (exactly one process).
-pub fn partition(prog: &LirProgram, num_cores: usize, strategy: PartitionStrategy) -> LirProgram {
-    partition_threaded(prog, num_cores, strategy, 1)
-}
+/// A balanced-merge implementation: `(units, num_cores, instr_cost,
+/// num_states, control)` to the merged instruction sets.
+pub(crate) type BalancedMerge =
+    fn(Vec<Unit>, usize, &[usize], usize, &CompileControl) -> Result<Vec<BitSet>, CompileError>;
 
-/// Splits and merges the monolithic program onto `num_cores` cores,
-/// fanning the cone and materialization phases over `threads` workers and
-/// (for the balanced strategy at `threads > 1`) using the incremental
-/// merge. Output is bit-identical at any thread count.
-///
-/// # Panics
-///
-/// Panics if `prog` is not monolithic (exactly one process).
-pub fn partition_threaded(
-    prog: &LirProgram,
-    num_cores: usize,
-    strategy: PartitionStrategy,
-    threads: usize,
-) -> LirProgram {
-    partition_controlled(
-        prog,
-        num_cores,
-        strategy,
-        threads,
-        &CompileControl::default(),
-    )
-    .expect("unconstrained partition cannot be interrupted")
-}
-
-/// [`partition_threaded`] with a [`CompileControl`]: the serial merge loop
-/// polls the control every `MERGE_POLL_PERIOD` iterations, so a tripped
-/// deadline or cancel token stops the pass with a structured error
-/// instead of running the (potentially quadratic) merge to completion.
+/// Splits and merges the monolithic program onto `num_cores` cores. The
+/// balanced merge polls `control` every `MERGE_POLL_PERIOD` iterations, so
+/// a tripped deadline or cancel token stops the pass with a structured
+/// error instead of running the merge to completion.
 ///
 /// # Errors
 ///
@@ -132,8 +85,19 @@ pub fn partition_controlled(
     prog: &LirProgram,
     num_cores: usize,
     strategy: PartitionStrategy,
-    threads: usize,
     control: &CompileControl,
+) -> Result<LirProgram, CompileError> {
+    partition_with(prog, num_cores, strategy, control, balanced_merge)
+}
+
+/// [`partition_controlled`] with the balanced merge supplied by the
+/// caller; the oracle tests pass one that checks against the reference.
+pub(crate) fn partition_with(
+    prog: &LirProgram,
+    num_cores: usize,
+    strategy: PartitionStrategy,
+    control: &CompileControl,
+    merge: BalancedMerge,
 ) -> Result<LirProgram, CompileError> {
     assert_eq!(
         prog.processes.len(),
@@ -164,7 +128,7 @@ pub fn partition_controlled(
     }
 
     // ------------------------------------------------------------------
-    // Split: seed groups, grow cones (each cone independent — parallel).
+    // Split: seed groups, grow cones.
     // ------------------------------------------------------------------
     let mut seeds: Vec<Vec<usize>> = Vec::new();
     let mut mem_seed: HashMap<u32, usize> = HashMap::new();
@@ -190,25 +154,27 @@ pub fn partition_controlled(
         }
     }
 
-    let cones: Vec<BitSet> = parallel_map(seeds.len(), threads, |si| {
-        let seed = &seeds[si];
-        let mut cone = BitSet::new(n);
-        let mut stack: Vec<usize> = seed.clone();
-        for &s in seed {
-            cone.insert(s);
-        }
-        while let Some(i) = stack.pop() {
-            for a in &mono.instrs[i].args {
-                if let Some(d) = def_of[a.index()] {
-                    if !cone.contains(d) {
-                        cone.insert(d);
-                        stack.push(d);
+    let cones: Vec<BitSet> = seeds
+        .iter()
+        .map(|seed| {
+            let mut cone = BitSet::new(n);
+            let mut stack: Vec<usize> = seed.clone();
+            for &s in seed {
+                cone.insert(s);
+            }
+            while let Some(i) = stack.pop() {
+                for a in &mono.instrs[i].args {
+                    if let Some(d) = def_of[a.index()] {
+                        if !cone.contains(d) {
+                            cone.insert(d);
+                            stack.push(d);
+                        }
                     }
                 }
             }
-        }
-        cone
-    });
+            cone
+        })
+        .collect();
 
     // Affinity: cones touching the same memory unite; cones with privileged
     // instructions unite with the privileged cone.
@@ -246,14 +212,13 @@ pub fn partition_controlled(
         }
     }
 
-    let units: Vec<Unit> = {
-        let mut unit_sets = unit_sets;
-        parallel_map(unit_sets.len(), threads, |ui| {
-            let set = &unit_sets[ui];
-            let base_cost = set.iter().map(|i| instr_cost[i]).sum();
+    let units: Vec<Unit> = unit_sets
+        .into_iter()
+        .map(|instrs| {
+            let base_cost = instrs.iter().map(|i| instr_cost[i]).sum();
             let mut commits = BTreeSet::new();
             let mut reads = BTreeSet::new();
-            for i in set.iter() {
+            for i in instrs.iter() {
                 if let LirOp::CommitLocal { state } = mono.instrs[i].op {
                     commits.insert(state);
                 }
@@ -263,45 +228,31 @@ pub fn partition_controlled(
                     }
                 }
             }
-            (base_cost, commits, reads)
+            Unit {
+                instrs,
+                base_cost,
+                commits,
+                reads,
+            }
         })
-        .into_iter()
-        .enumerate()
-        .map(|(ui, (base_cost, commits, reads))| Unit {
-            instrs: std::mem::replace(&mut unit_sets[ui], BitSet::new(0)),
-            base_cost,
-            commits,
-            reads,
-        })
-        .collect()
-    };
+        .collect();
 
     // ------------------------------------------------------------------
-    // Merge (inherently serial: a sequential greedy decision process).
+    // Merge: a sequential greedy decision process.
     // ------------------------------------------------------------------
-    let merged_sets = match (strategy, threads > 1) {
-        (PartitionStrategy::Balanced, false) => {
-            merge_balanced(units, num_cores, &instr_cost, control)?
+    let merged_sets = match strategy {
+        PartitionStrategy::Balanced => {
+            merge(units, num_cores, &instr_cost, prog.states.len(), control)?
         }
-        (PartitionStrategy::Balanced, true) => {
-            merge_balanced_fast(units, num_cores, &instr_cost, prog.states.len(), control)?
-        }
-        (PartitionStrategy::Lpt, _) => merge_lpt(units, num_cores),
+        PartitionStrategy::Lpt => merge_lpt(units, num_cores),
     };
 
-    Ok(materialize(
-        prog,
-        mono,
-        &merged_sets,
-        &def_of,
-        &vreg_state,
-        threads,
-    ))
+    Ok(materialize(prog, mono, &merged_sets, &def_of, &vreg_state))
 }
 
 /// Send count of unit `u` given current ownership: one per (state committed
 /// by `u`, other live unit reading it).
-fn send_count(u: usize, units: &[Unit], alive: &[bool]) -> usize {
+pub(crate) fn send_count(u: usize, units: &[Unit], alive: &[bool]) -> usize {
     let mut sends = 0;
     for s in &units[u].commits {
         for (v, other) in units.iter().enumerate() {
@@ -313,106 +264,14 @@ fn send_count(u: usize, units: &[Unit], alive: &[bool]) -> usize {
     sends
 }
 
-/// The reference balanced merge: recomputes unit costs and merged costs
-/// from first principles every iteration. Kept verbatim as the serial
-/// pipeline and as the oracle for `merge_balanced_fast`.
-fn merge_balanced(
-    mut units: Vec<Unit>,
-    num_cores: usize,
-    instr_cost: &[usize],
-    control: &CompileControl,
-) -> Result<Vec<BitSet>, CompileError> {
-    let mut alive = vec![true; units.len()];
-    let mut iterations = 0usize;
-    loop {
-        if iterations.is_multiple_of(MERGE_POLL_PERIOD) {
-            control.check("partition")?;
-        }
-        iterations += 1;
-        let live: Vec<usize> = (0..units.len()).filter(|&i| alive[i]).collect();
-        if live.len() <= 1 {
-            break;
-        }
-        let must_merge = live.len() > num_cores;
-        let cost = |i: usize, units: &[Unit], alive: &[bool]| {
-            units[i].base_cost + send_count(i, units, alive)
-        };
-        // Cheapest live unit.
-        let &u = live
-            .iter()
-            .min_by_key(|&&i| cost(i, &units, &alive))
-            .unwrap();
-        // Communicating partners.
-        let partners: Vec<usize> = live
-            .iter()
-            .copied()
-            .filter(|&v| {
-                v != u
-                    && (units[u].commits.iter().any(|s| units[v].reads.contains(s))
-                        || units[v].commits.iter().any(|s| units[u].reads.contains(s)))
-            })
-            .collect();
-        let candidates = if partners.is_empty() {
-            live.iter().copied().filter(|&v| v != u).collect::<Vec<_>>()
-        } else {
-            partners
-        };
-        // Merged cost of u+v: deduped instructions + sends of the union.
-        let merged_cost = |v: usize, units: &[Unit], alive: &[bool]| -> usize {
-            let mut base = 0usize;
-            // weighted union popcount
-            let set = &units[u].instrs;
-            let other = &units[v].instrs;
-            for i in set.iter() {
-                base += instr_cost[i];
-            }
-            for i in other.iter() {
-                if !set.contains(i) {
-                    base += instr_cost[i];
-                }
-            }
-            let mut sends = 0;
-            for s in units[u].commits.iter().chain(units[v].commits.iter()) {
-                for (w, ww) in units.iter().enumerate() {
-                    if w != u && w != v && alive[w] && ww.reads.contains(s) {
-                        sends += 1;
-                    }
-                }
-            }
-            base + sends
-        };
-        let best = candidates
-            .iter()
-            .map(|&v| (merged_cost(v, &units, &alive), v))
-            .min();
-        let Some((best_cost, v)) = best else { break };
-        if !must_merge {
-            let straggler = live.iter().map(|&i| cost(i, &units, &alive)).max().unwrap();
-            if best_cost > straggler {
-                break;
-            }
-        }
-        // Merge v into u.
-        let vv = units[v].clone();
-        units[u].instrs.union_with(&vv.instrs);
-        units[u].base_cost = units[u].instrs.iter().map(|i| instr_cost[i]).sum();
-        units[u].commits.extend(vv.commits.iter().copied());
-        units[u].reads.extend(vv.reads.iter().copied());
-        alive[v] = false;
-    }
-    Ok(units
-        .into_iter()
-        .zip(alive)
-        .filter_map(|(un, a)| a.then_some(un.instrs))
-        .collect())
-}
-
-/// The incremental balanced merge: replays [`merge_balanced`]'s exact
-/// decision sequence with cached bookkeeping.
+/// The communication-aware balanced merge with incremental bookkeeping.
+/// It makes the exact decision sequence of the paper's formulation (the
+/// oracle in `crate::reference`, which recomputes every cost from first
+/// principles each iteration).
 ///
-/// Why the decisions cannot diverge:
+/// Why the decisions match the oracle's:
 ///
-/// - **Unit cost.** The reference's `cost(i) = base_cost(i) + sends(i)`
+/// - **Unit cost.** The oracle's `cost(i) = base_cost(i) + sends(i)`
 ///   where `sends(i) = Σ_{s ∈ commits_i} |{v alive, v ≠ i, s ∈ reads_v}|`.
 ///   Here `readers_cnt[s]` maintains the number of *live* units reading
 ///   `s`, so `sends(i) = Σ_s (readers_cnt[s] − [i reads s])`; `cost[]` is
@@ -437,7 +296,7 @@ fn merge_balanced(
 /// committer (if distinct from `u`/`v`) loses one send; `v`'s committed
 /// states transfer their committer to `u`; `cost[u]` is recomputed in
 /// full. Everything else is unchanged.
-fn merge_balanced_fast(
+pub(crate) fn balanced_merge(
     mut units: Vec<Unit>,
     num_cores: usize,
     instr_cost: &[usize],
@@ -632,54 +491,53 @@ fn merge_lpt(units: Vec<Unit>, num_cores: usize) -> Vec<BitSet> {
 
 /// Rebuilds per-process instruction lists from unit bitsets, renumbers
 /// vregs, threads live-ins through, generates `Send`s, and remaps the
-/// exception table. The per-unit rebuild is independent across units and
-/// fans out over the worker pool; Sends and the exception remap run
-/// serially afterwards (they read cross-unit ownership).
+/// exception table.
 fn materialize(
     prog: &LirProgram,
     mono: &Process,
     units: &[BitSet],
     def_of: &[Option<usize>],
     vreg_state: &HashMap<VReg, StateId>,
-    threads: usize,
 ) -> LirProgram {
-    let rebuilt: Vec<(Process, HashMap<VReg, VReg>)> = parallel_map(units.len(), threads, |ui| {
-        let unit = &units[ui];
-        let mut p = Process::default();
-        let mut vmap: HashMap<VReg, VReg> = HashMap::new();
-        for i in unit.iter() {
-            let old = &mono.instrs[i];
-            let mut args = Vec::with_capacity(old.args.len());
-            for &a in &old.args {
-                let mapped = if let Some(&m) = vmap.get(&a) {
-                    m
-                } else if let Some(&s) = vreg_state.get(&a) {
+    let rebuilt: Vec<(Process, HashMap<VReg, VReg>)> = units
+        .iter()
+        .map(|unit| {
+            let mut p = Process::default();
+            let mut vmap: HashMap<VReg, VReg> = HashMap::new();
+            for i in unit.iter() {
+                let old = &mono.instrs[i];
+                let mut args = Vec::with_capacity(old.args.len());
+                for &a in &old.args {
+                    let mapped = if let Some(&m) = vmap.get(&a) {
+                        m
+                    } else if let Some(&s) = vreg_state.get(&a) {
+                        let v = p.fresh();
+                        p.state_reads.insert(s, v);
+                        vmap.insert(a, v);
+                        v
+                    } else {
+                        debug_assert!(def_of[a.index()].is_some());
+                        unreachable!("cone closure must include defining instruction")
+                    };
+                    args.push(mapped);
+                }
+                let dest = old.dest.map(|d| {
                     let v = p.fresh();
-                    p.state_reads.insert(s, v);
-                    vmap.insert(a, v);
+                    vmap.insert(d, v);
                     v
-                } else {
-                    debug_assert!(def_of[a.index()].is_some());
-                    unreachable!("cone closure must include defining instruction")
-                };
-                args.push(mapped);
+                });
+                if old.op.is_privileged() {
+                    p.is_privileged = true;
+                }
+                p.instrs.push(LirInstr {
+                    dest,
+                    op: old.op.clone(),
+                    args,
+                });
             }
-            let dest = old.dest.map(|d| {
-                let v = p.fresh();
-                vmap.insert(d, v);
-                v
-            });
-            if old.op.is_privileged() {
-                p.is_privileged = true;
-            }
-            p.instrs.push(LirInstr {
-                dest,
-                op: old.op.clone(),
-                args,
-            });
-        }
-        (p, vmap)
-    });
+            (p, vmap)
+        })
+        .collect();
     let (mut processes, vmaps): (Vec<Process>, Vec<HashMap<VReg, VReg>>) =
         rebuilt.into_iter().unzip();
 

@@ -7,23 +7,15 @@
 //! instrumentation, collected into [`CompileReport::passes`] — the data
 //! behind Fig. 13 and the compile-scaling bench.
 //!
-//! # Thread count and determinism
+//! # One pipeline, deterministic
 //!
-//! `CompileCtx::threads` selects the pipeline implementation:
-//!
-//! - `1` — the **reference pipeline**: the paper's serial algorithms,
-//!   exactly as before the pass-manager refactor;
-//! - `> 1` — the **parallel pipeline**: the heavy passes fan per-cone /
-//!   per-process work out over a scoped worker pool
-//!   ([`manticore_util::parallel_map`]) and use restructured inner
-//!   algorithms (incremental merge bookkeeping, vector-indexed maps)
-//!   whose *decision sequences* replicate the reference exactly.
-//!
-//! Both pipelines emit **bit-identical binaries**; the compile-determinism
-//! suite compares `Binary::to_bytes` across 1/2/4 threads on every
-//! workload. The structural reasons each parallel pass stays deterministic
-//! are documented in the respective modules ([`partition`], [`schedule`],
-//! [`regalloc`]) and in ARCHITECTURE.md.
+//! Every pass runs single-threaded, with one implementation each; a
+//! compile is a pure function of (netlist, options). The compile-
+//! determinism suite compares `Binary::to_bytes` across repeated compiles
+//! of every workload. Where a pass replaced a simpler formulation with an
+//! incremental or vector-indexed one ([`partition`], [`schedule`],
+//! [`regalloc`]), the simpler one is kept as a test oracle and asserted
+//! decision-for-decision equal.
 
 use std::time::Instant;
 
@@ -90,16 +82,14 @@ impl CompileControl {
     }
 }
 
-/// Shared state threaded through the pipeline: the inputs, the worker
-/// count, each stage's IR once produced, and the accumulating report.
+/// Shared state threaded through the pipeline: the inputs, each stage's IR
+/// once produced, and the accumulating report.
 #[derive(Debug)]
 pub struct CompileCtx<'a> {
     /// The input design.
     pub netlist: &'a Netlist,
     /// Compilation options (target config, strategy, feature toggles).
     pub options: &'a CompileOptions,
-    /// Resolved worker count: 1 = reference pipeline, >1 = parallel.
-    pub threads: usize,
     /// After `netlist-opt`: the netlist actually compiled.
     pub optimized: Option<Netlist>,
     /// After `lower`/`lir-opt`: the monolithic lower-assembly program.
@@ -118,21 +108,16 @@ pub struct CompileCtx<'a> {
 
 impl<'a> CompileCtx<'a> {
     /// A fresh context for one compilation.
-    pub fn new(netlist: &'a Netlist, options: &'a CompileOptions, threads: usize) -> Self {
-        let report = CompileReport {
-            compile_threads: threads,
-            ..Default::default()
-        };
+    pub fn new(netlist: &'a Netlist, options: &'a CompileOptions) -> Self {
         CompileCtx {
             netlist,
             options,
-            threads,
             optimized: None,
             mono: None,
             parted: None,
             schedule: None,
             emitted: None,
-            report,
+            report: CompileReport::default(),
             control: CompileControl::default(),
         }
     }
@@ -143,12 +128,6 @@ impl<'a> CompileCtx<'a> {
 pub trait Pass {
     /// Stable pass name (the report / bench column label).
     fn name(&self) -> &'static str;
-
-    /// Worker threads this pass engages under `ctx` (1 for inherently
-    /// serial passes, `ctx.threads` for the parallelized ones).
-    fn threads_used(&self, _ctx: &CompileCtx) -> usize {
-        1
-    }
 
     /// Runs the pass, advancing the context by one stage.
     ///
@@ -203,7 +182,6 @@ impl PassManager {
                 name: pass.name(),
                 duration: start.elapsed(),
                 ir_size: pass.ir_size(ctx),
-                threads: pass.threads_used(ctx),
             });
         }
         Ok(())
@@ -267,17 +245,12 @@ impl Pass for LirOptPass {
     }
 }
 
-/// Cone split + communication-aware merge (stage 4). Parallel cone
-/// extraction and materialization; the merge itself is serial and
-/// deterministic in both pipelines.
+/// Cone split + communication-aware merge (stage 4).
 struct PartitionPass;
 
 impl Pass for PartitionPass {
     fn name(&self) -> &'static str {
         "partition"
-    }
-    fn threads_used(&self, ctx: &CompileCtx) -> usize {
-        ctx.threads
     }
     fn run(&self, ctx: &mut CompileCtx) -> Result<(), CompileError> {
         let mono = ctx.mono.as_ref().expect("lir-opt ran");
@@ -285,7 +258,6 @@ impl Pass for PartitionPass {
             mono,
             ctx.options.config.num_cores(),
             ctx.options.partition,
-            ctx.threads,
             &ctx.control,
         )?;
         ctx.report.split = SplitStats {
@@ -301,24 +273,20 @@ impl Pass for PartitionPass {
 }
 
 /// MFFC fusion into 4-input LUT ops, then per-process cleanup (stage 5).
-/// Embarrassingly parallel: each process synthesizes independently.
 struct CustomFunctionsPass;
 
 impl Pass for CustomFunctionsPass {
     fn name(&self) -> &'static str {
         "custom-functions"
     }
-    fn threads_used(&self, ctx: &CompileCtx) -> usize {
-        ctx.threads
-    }
     fn run(&self, ctx: &mut CompileCtx) -> Result<(), CompileError> {
         if ctx.options.custom_functions {
             let parted = ctx.parted.as_mut().expect("partition ran");
             let max_tables = ctx.options.config.num_custom_functions;
-            manticore_util::parallel_map_mut(&mut parted.processes, ctx.threads, |_, p| {
+            for p in &mut parted.processes {
                 cfu::synthesize(p, max_tables);
-            });
-            lir_opt::optimize_threaded(parted, ctx.threads);
+            }
+            lir_opt::optimize(parted);
         }
         Ok(())
     }
@@ -327,25 +295,16 @@ impl Pass for CustomFunctionsPass {
     }
 }
 
-/// List scheduling against the hazard/NoC models (stage 6). Per-process
-/// graph construction parallelizes; the global link-reserving issue loop
-/// is serial in both pipelines (it is the NoC arbitration semantics).
+/// List scheduling against the hazard/NoC models (stage 6).
 struct SchedulePass;
 
 impl Pass for SchedulePass {
     fn name(&self) -> &'static str {
         "schedule"
     }
-    fn threads_used(&self, ctx: &CompileCtx) -> usize {
-        ctx.threads
-    }
     fn run(&self, ctx: &mut CompileCtx) -> Result<(), CompileError> {
         let parted = ctx.parted.as_ref().expect("partition ran");
-        ctx.schedule = Some(schedule::schedule_threaded(
-            parted,
-            &ctx.options.config,
-            ctx.threads,
-        )?);
+        ctx.schedule = Some(schedule::schedule(parted, &ctx.options.config)?);
         Ok(())
     }
     fn ir_size(&self, ctx: &CompileCtx) -> usize {
@@ -353,26 +312,17 @@ impl Pass for SchedulePass {
     }
 }
 
-/// Register allocation + emission (stage 7). Per-core allocation and body
-/// emission parallelize; images merge in core-index order.
+/// Register allocation + emission (stage 7).
 struct RegallocEmitPass;
 
 impl Pass for RegallocEmitPass {
     fn name(&self) -> &'static str {
         "regalloc-emit"
     }
-    fn threads_used(&self, ctx: &CompileCtx) -> usize {
-        ctx.threads
-    }
     fn run(&self, ctx: &mut CompileCtx) -> Result<(), CompileError> {
         let parted = ctx.parted.as_ref().expect("partition ran");
         let schedule = ctx.schedule.as_ref().expect("schedule ran");
-        ctx.emitted = Some(regalloc::emit_threaded(
-            parted,
-            schedule,
-            &ctx.options.config,
-            ctx.threads,
-        )?);
+        ctx.emitted = Some(regalloc::emit(parted, schedule, &ctx.options.config)?);
         Ok(())
     }
     fn ir_size(&self, ctx: &CompileCtx) -> usize {

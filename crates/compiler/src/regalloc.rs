@@ -9,22 +9,12 @@
 //! value executes after the producer, eliminating the commit move (§6.3,
 //! citing Wimmer & Franz linear-scan-on-SSA).
 //!
-//! # Parallel structure and determinism
-//!
-//! [`emit_threaded`] keeps the cheap cross-process phases serial —
-//! persistent-register assignment, scratchpad layout, custom-function
-//! tables, the exception table, and metadata — and fans the per-process
-//! work (liveness, coalescing, linear scan, body emission, scratch image)
-//! out over the worker pool. Results land in pre-assigned process slots
-//! and the `Binary`'s core images are assembled in process-index order, so
-//! the output is bit-identical at any thread count.
-//!
-//! At `threads > 1` the allocator switches from the reference hash-map
-//! implementation to a vector-indexed one (`alloc_process_fast`) that
-//! replays the same decision sequence: liveness and coalescing produce the
-//! same per-vreg facts, and the linear scan's free-list (LIFO) and active
-//! list (insertion-ordered `retain`) are plain vectors in both. The two
-//! allocators differ only in lookup structures, never in decisions.
+//! Allocation uses vreg-indexed vectors throughout. A hash-map allocator
+//! is kept as a test oracle (`crate::reference`):
+//! liveness and coalescing produce the same per-vreg facts in both, and
+//! the linear scan's free list (LIFO) and active list (insertion-ordered
+//! `retain`) are plain vectors in both, so the two differ only in lookup
+//! structures, never in decisions.
 //!
 //! The scratchpad base table is a `BTreeMap` on purpose: the boot image
 //! `init_scratch` is emitted by iterating it, and a hash map here would
@@ -37,7 +27,6 @@ use manticore_isa::{
     AluOp, Binary, CoreImage, ExceptionDescriptor, ExceptionId, ExceptionKind, Instruction,
     MachineConfig, Reg,
 };
-use manticore_util::parallel_map;
 
 use crate::error::CompileError;
 use crate::lir::{LirExceptionKind, LirOp, LirProgram, MemPlacement, Process, StateId, VReg};
@@ -56,51 +45,43 @@ pub struct EmitOutput {
     pub per_core: Vec<CoreBreakdown>,
 }
 
-/// The final vreg → machine-register assignment of one process, behind
-/// either lookup structure (reference hash map vs. fast vector).
-#[derive(Debug, Clone)]
-enum RegView {
-    Map(HashMap<VReg, Reg>),
-    Table(Vec<Option<Reg>>),
-}
+/// The final vreg → machine-register assignment of one process, indexed
+/// by vreg.
+pub(crate) type RegView = Vec<Option<Reg>>;
 
-impl RegView {
-    #[inline]
-    fn get(&self, v: VReg) -> Reg {
-        match self {
-            RegView::Map(m) => m[&v],
-            RegView::Table(t) => t[v.index()].expect("vreg allocated"),
-        }
-    }
-}
+/// A per-process register allocator: `(process, slots, pinned, state
+/// homes, first temporary register, config)` to the process's
+/// [`RegView`].
+pub(crate) type Allocator = fn(
+    &Process,
+    &[Option<usize>],
+    &HashMap<VReg, Reg>,
+    &BTreeMap<StateId, Reg>,
+    u16,
+    &MachineConfig,
+) -> Result<RegView, CompileError>;
 
-/// Allocates registers and emits the machine binary with the reference
-/// serial pipeline.
+/// Allocates registers and emits the machine binary.
 ///
 /// # Errors
 ///
-/// Register-file or scratchpad overflow.
+/// Register-file or scratchpad overflow (reported for the lowest failing
+/// process index).
 pub fn emit(
     prog: &LirProgram,
     schedule: &Schedule,
     config: &MachineConfig,
 ) -> Result<EmitOutput, CompileError> {
-    emit_threaded(prog, schedule, config, 1)
+    emit_with(prog, schedule, config, alloc_process)
 }
 
-/// Allocates registers and emits the machine binary, running per-process
-/// allocation and emission on `threads` workers. Output is bit-identical
-/// at any thread count (see the module docs).
-///
-/// # Errors
-///
-/// Register-file or scratchpad overflow (reported for the lowest failing
-/// process index, like the serial pipeline).
-pub fn emit_threaded(
+/// [`emit`] with the per-process allocator supplied by the caller; the
+/// oracle tests pass one that checks against the reference.
+pub(crate) fn emit_with(
     prog: &LirProgram,
     schedule: &Schedule,
     config: &MachineConfig,
-    threads: usize,
+    alloc: Allocator,
 ) -> Result<EmitOutput, CompileError> {
     let nproc = prog.processes.len();
 
@@ -203,17 +184,15 @@ pub fn emit_threaded(
     }
 
     // ------------------------------------------------------------------
-    // Phase B: per-process liveness, coalescing, linear scan, emission —
-    // independent across processes, fanned out over the pool.
+    // Phase B: per-process liveness, coalescing, linear scan, emission.
     // ------------------------------------------------------------------
-    let per_process = |pi: usize| -> Result<(RegView, CoreImage, CoreBreakdown), CompileError> {
+    let mut views: Vec<RegView> = Vec::with_capacity(nproc);
+    let mut images: Vec<CoreImage> = Vec::with_capacity(nproc);
+    let mut per_core: Vec<CoreBreakdown> = Vec::with_capacity(nproc);
+    for pi in 0..nproc {
         let p = &prog.processes[pi];
         let slots = &schedule.slots[pi];
-        let view = if threads > 1 {
-            alloc_process_fast(p, slots, &pinned[pi], &state_reg[pi], temp_base[pi], config)?
-        } else {
-            alloc_process_ref(p, slots, &pinned[pi], &state_reg[pi], temp_base[pi], config)?
-        };
+        let view = alloc(p, slots, &pinned[pi], &state_reg[pi], temp_base[pi], config)?;
 
         let (body, mut breakdown) = emit_body(
             pi,
@@ -249,18 +228,6 @@ pub fn emit_threaded(
             init_regs: init_regs[pi].clone(),
             init_scratch,
         };
-        Ok((view, image, breakdown))
-    };
-    let results: Vec<Result<(RegView, CoreImage, CoreBreakdown), CompileError>> = if threads > 1 {
-        parallel_map(nproc, threads, per_process)
-    } else {
-        (0..nproc).map(per_process).collect()
-    };
-    let mut views: Vec<RegView> = Vec::with_capacity(nproc);
-    let mut images: Vec<CoreImage> = Vec::with_capacity(nproc);
-    let mut per_core: Vec<CoreBreakdown> = Vec::with_capacity(nproc);
-    for r in results {
-        let (view, image, breakdown) = r?;
         views.push(view);
         images.push(image);
         per_core.push(breakdown);
@@ -279,7 +246,9 @@ pub fn emit_threaded(
                     format: format.clone(),
                     args: args
                         .iter()
-                        .map(|(regs, w)| (regs.iter().map(|&v| views[pi].get(v)).collect(), *w))
+                        .map(|(regs, w)| {
+                            (regs.iter().map(|&v| reg_of(&views[pi], v)).collect(), *w)
+                        })
                         .collect(),
                 }
             }
@@ -379,124 +348,9 @@ pub fn emit_threaded(
     })
 }
 
-/// Reference per-process allocation: liveness, commit coalescing, linear
-/// scan — hash-map lookup structures, kept verbatim from the serial
-/// pipeline and serving as the oracle for `alloc_process_fast`.
-fn alloc_process_ref(
-    p: &Process,
-    slots: &[Option<usize>],
-    pinned: &HashMap<VReg, Reg>,
-    state_reg: &BTreeMap<StateId, Reg>,
-    temp_base: u16,
-    config: &MachineConfig,
-) -> Result<RegView, CompileError> {
-    // Liveness over scheduled positions.
-    let mut def_slot: HashMap<VReg, usize> = HashMap::new();
-    let mut last_use: HashMap<VReg, usize> = HashMap::new();
-    for (t, slot) in slots.iter().enumerate() {
-        let Some(i) = *slot else { continue };
-        let instr = &p.instrs[i];
-        let read_at = t + instr.op.issue_slots() - 1;
-        for &a in &instr.args {
-            let e = last_use.entry(a).or_insert(read_at);
-            *e = (*e).max(read_at);
-        }
-        if let Some(d) = instr.dest {
-            def_slot.insert(d, t);
-        }
-    }
-
-    // Commit coalescing.
-    let mut elided_commits: BTreeSet<usize> = BTreeSet::new();
-    let mut coalesced: HashMap<VReg, Reg> = HashMap::new();
-    for (t, slot) in slots.iter().enumerate() {
-        let Some(i) = *slot else { continue };
-        let LirOp::CommitLocal { state } = p.instrs[i].op else {
-            continue;
-        };
-        let src = p.instrs[i].args[0];
-        let home = state_reg[&state];
-        // Identity commit: the next value IS the current value.
-        if p.state_reads.get(&state) == Some(&src) {
-            elided_commits.insert(i);
-            continue;
-        }
-        // Coalesce: src is an unpinned temp whose definition runs after
-        // every read of the current value.
-        let is_temp = !pinned.contains_key(&src) && !coalesced.contains_key(&src);
-        if is_temp {
-            let src_def = def_slot.get(&src).copied().unwrap_or(0);
-            let ok = match p.state_reads.get(&state) {
-                None => true,
-                Some(lv) => last_use.get(lv).is_none_or(|&lu| lu < src_def),
-            };
-            if ok {
-                coalesced.insert(src, home);
-                elided_commits.insert(i);
-            }
-        }
-        let _ = t;
-    }
-
-    // Linear scan for the remaining temporaries.
-    let mut alloc: HashMap<VReg, Reg> = HashMap::new();
-    let mut free: Vec<u16> = Vec::new();
-    let mut next_fresh = temp_base;
-    let mut active: Vec<(usize, VReg, Reg)> = Vec::new(); // (last_use, vreg, reg)
-    let mut max_reg_used = temp_base.saturating_sub(1) as usize;
-    for (t, slot) in slots.iter().enumerate() {
-        let Some(i) = *slot else { continue };
-        let Some(d) = p.instrs[i].dest else { continue };
-        if pinned.contains_key(&d) || coalesced.contains_key(&d) {
-            continue;
-        }
-        // Expire.
-        active.retain(|&(lu, _, r)| {
-            if lu <= t {
-                free.push(r.0);
-                false
-            } else {
-                true
-            }
-        });
-        let lu = last_use.get(&d).copied().unwrap_or(t);
-        let r = match free.pop() {
-            Some(r) => Reg(r),
-            None => {
-                let r = next_fresh;
-                next_fresh += 1;
-                Reg(r)
-            }
-        };
-        max_reg_used = max_reg_used.max(r.index());
-        alloc.insert(d, r);
-        if lu > t {
-            active.push((lu, d, r));
-        } else {
-            free.push(r.0);
-        }
-    }
-    if max_reg_used >= config.regfile_size {
-        return Err(CompileError::RegfileOverflow {
-            needed: max_reg_used + 1,
-            capacity: config.regfile_size,
-        });
-    }
-
-    // Final vreg -> machine reg view.
-    let mut reg_of: HashMap<VReg, Reg> = HashMap::new();
-    reg_of.extend(pinned.iter().map(|(&v, &r)| (v, r)));
-    reg_of.extend(coalesced.iter().map(|(&v, &r)| (v, r)));
-    reg_of.extend(alloc.iter().map(|(&v, &r)| (v, r)));
-    Ok(RegView::Map(reg_of))
-}
-
-/// Fast per-process allocation: the same liveness facts, coalescing rules,
-/// and linear-scan decision sequence as [`alloc_process_ref`], with every
-/// hash map replaced by a vreg-indexed vector. The free list (LIFO pop)
-/// and the active list (insertion-ordered `retain`) are plain vectors in
-/// both implementations, so the register choices are identical.
-fn alloc_process_fast(
+/// Per-process allocation: liveness, commit coalescing, linear scan over
+/// vreg-indexed vectors.
+pub(crate) fn alloc_process(
     p: &Process,
     slots: &[Option<usize>],
     pinned: &HashMap<VReg, Reg>,
@@ -595,19 +449,22 @@ fn alloc_process_fast(
         });
     }
 
-    let view: Vec<Option<Reg>> = (0..nv)
+    Ok((0..nv)
         .map(|v| alloc_v[v].or(coalesced_v[v]).or(pinned_v[v]))
-        .collect();
-    Ok(RegView::Table(view))
+        .collect())
 }
 
-/// Emits one process's body from its schedule and register view — shared
-/// by both pipelines (the view is the only allocation-dependent input).
+/// The machine register of `v`.
+fn reg_of(view: &[Option<Reg>], v: VReg) -> Reg {
+    view[v.index()].expect("vreg allocated")
+}
+
+/// Emits one process's body from its schedule and register view.
 fn emit_body(
     pi: usize,
     prog: &LirProgram,
     schedule: &Schedule,
-    view: &RegView,
+    view: &[Option<Reg>],
     state_reg: &[BTreeMap<StateId, Reg>],
     cfu_tables: &[[u16; 16]],
     mem_base: &BTreeMap<u32, (usize, u16)>,
@@ -615,7 +472,7 @@ fn emit_body(
     let p = &prog.processes[pi];
     let slots = &schedule.slots[pi];
     let body_len = schedule.body_len[pi];
-    let reg = |v: VReg| -> Reg { view.get(v) };
+    let reg = |v: VReg| -> Reg { reg_of(view, v) };
     let mut body = vec![Instruction::Nop; body_len];
     let mut breakdown = CoreBreakdown::default();
 

@@ -87,8 +87,8 @@ pub struct SplitStats {
 
 /// Per-pass instrumentation recorded by the pass manager: wall time and
 /// the IR size the pass left behind (a deterministic compiler output —
-/// unlike the timing, it must reproduce exactly across runs and thread
-/// counts, and the bench gate compares it exactly).
+/// unlike the timing, it must reproduce exactly across runs, and the bench
+/// gate compares it exactly).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PassStat {
     /// Pass name, in pipeline order (Fig. 13's bar labels).
@@ -98,9 +98,6 @@ pub struct PassStat {
     /// Size of the IR after the pass ran (nets for the netlist pass,
     /// instructions for the rest).
     pub ir_size: usize,
-    /// Worker threads the pass ran with (1 for inherently serial passes
-    /// and for the whole reference pipeline).
-    pub threads: usize,
 }
 
 /// The full compilation report.
@@ -109,9 +106,6 @@ pub struct CompileReport {
     /// Per-pass instrumentation, in pipeline order (Fig. 13), recorded by
     /// the pass manager around each pass.
     pub passes: Vec<PassStat>,
-    /// Worker threads the pipeline ran with (1 = the serial reference
-    /// pipeline).
-    pub compile_threads: usize,
     /// Virtual critical-path length: machine cycles per RTL cycle. The
     /// simulation rate is `clock / vcpl` (Fig. 7, Table 3).
     pub vcpl: u64,
@@ -154,10 +148,10 @@ impl CompileReport {
     }
 
     /// The deterministic portion of the report — everything except wall
-    /// times and the thread count: per-pass IR sizes, VCPL, placement and
-    /// instruction-mix statistics. Two compiles of the same netlist with
-    /// the same options must agree on this **exactly**, at any thread
-    /// count; the compile-determinism suite enforces it.
+    /// times: per-pass IR sizes, VCPL, placement and instruction-mix
+    /// statistics. Two compiles of the same netlist with the same options
+    /// must agree on this **exactly**; the compile-determinism suite
+    /// enforces it.
     pub fn deterministic_fingerprint(&self) -> String {
         use std::fmt::Write;
         let mut s = String::new();

@@ -411,42 +411,38 @@ fn report_is_populated() {
             "regalloc-emit"
         ]
     );
-    assert_eq!(out.report.compile_threads, 1);
     assert!(out.report.split.vertices > 0);
     let (_, straggler) = out.report.straggler().unwrap();
     assert!(straggler.busy() > 0);
 }
 
 #[test]
-fn parallel_pipeline_is_bit_identical_and_reports_threads() {
-    // The structural heart of this module's differential tests, in unit
-    // form: serial (reference) vs. parallel (fast) pipelines must agree on
-    // the emitted bytes and the deterministic report fingerprint. The
-    // cross-workload version lives in tests/compile_determinism.rs.
-    for seed in [7u64, 21, 42] {
-        let n = random_netlist(seed, 60);
-        let serial = compile(&n, &options(4)).unwrap();
-        for threads in [2usize, 4] {
-            let mut opts = options(4);
-            opts.compile_threads = threads;
-            let par = compile(&n, &opts).unwrap();
-            assert_eq!(
-                serial.binary.to_bytes(),
-                par.binary.to_bytes(),
-                "seed {seed}: binary differs at {threads} threads"
-            );
-            assert_eq!(
-                serial.report.deterministic_fingerprint(),
-                par.report.deterministic_fingerprint(),
-                "seed {seed}: report fingerprint differs at {threads} threads"
-            );
-            assert_eq!(par.report.compile_threads, threads);
-            assert!(
-                par.report.passes.iter().any(|p| p.threads == threads),
-                "parallel passes should report their thread count"
-            );
-        }
-    }
+fn balanced_merge_polls_the_control() {
+    // A pre-tripped control reaches the merge loop's first poll: the pass
+    // boundary checks in the pass manager are not involved here.
+    let n = random_netlist(42, 40);
+    let scratch_words = MachineConfig::default().scratch_words;
+    let mut mono = crate::lower::lower(&opt::optimize(&n), scratch_words).unwrap();
+    crate::lir_opt::optimize(&mut mono);
+    let token = manticore_util::CancelToken::new();
+    token.cancel();
+    let control = crate::CompileControl {
+        cancel: Some(token),
+        deadline: None,
+    };
+    let cancelled =
+        crate::partition::partition_controlled(&mono, 4, PartitionStrategy::Balanced, &control);
+    assert_eq!(
+        cancelled.unwrap_err(),
+        crate::CompileError::Cancelled { pass: "partition" }
+    );
+    let unconstrained = crate::partition::partition_controlled(
+        &mono,
+        4,
+        PartitionStrategy::Balanced,
+        &crate::CompileControl::default(),
+    );
+    assert!(unconstrained.unwrap().processes.len() > 1);
 }
 
 #[test]
@@ -468,7 +464,7 @@ fn rejects_open_designs() {
 
 /// Builds a random closed netlist: registers of mixed widths feeding a
 /// random combinational expression pool, plus a small memory.
-fn random_netlist(seed: u64, ops: usize) -> Netlist {
+pub(crate) fn random_netlist(seed: u64, ops: usize) -> Netlist {
     let mut rng = SmallRng::seed_from_u64(seed);
     let widths = [7usize, 16, 20, 33];
     let mut b = NetlistBuilder::new("rand");

@@ -201,13 +201,10 @@ impl FleetSim {
         config: MachineConfig,
         workers: usize,
     ) -> Result<FleetSim, SimError> {
-        // Compile with the same worker count the fleet will run with; the
-        // parallel pipeline's output is bit-identical to the serial one.
         Self::compile_with(
             netlist,
             &CompileOptions {
                 config,
-                compile_threads: workers.max(1),
                 ..Default::default()
             },
             workers,

@@ -350,13 +350,10 @@ pub fn backends(
     config: manticore_isa::MachineConfig,
     threads: usize,
 ) -> Result<Vec<Box<dyn Simulator>>, SimError> {
-    // One compilation and one frozen program feed all machine backends.
-    // The compile reuses the same worker count as the execution backends —
-    // the parallel pipeline is bit-identical to the serial one, so every
-    // agreement sweep over `backends` also cross-checks it.
+    // One compilation and one frozen program feed all machine backends;
+    // `threads` sizes only the fleet, the gang and the parallel tape.
     let options = CompileOptions {
         config: config.clone(),
-        compile_threads: threads.max(1),
         ..Default::default()
     };
     let output = Arc::new(compile(netlist, &options)?);

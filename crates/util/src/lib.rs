@@ -7,10 +7,6 @@
 //!   the Verilator-analog macro-task executor
 //!   (`manticore_refsim::parallel`) and the fleet's batch start
 //!   (`manticore_fleet`);
-//! - [`pool::parallel_map`] / [`pool::parallel_map_mut`] — the scoped,
-//!   index-ordered worker pool behind the compiler's parallel passes:
-//!   results land in pre-assigned slots, so output is bit-identical at
-//!   any thread count;
 //! - [`hash::FnvHasher`] — a fast non-cryptographic hasher for hot
 //!   compiler maps whose keys come from the design, not from untrusted
 //!   input;
@@ -29,13 +25,11 @@
 pub mod cancel;
 pub mod hash;
 pub mod panic;
-pub mod pool;
 pub mod rng;
 pub mod spin;
 
 pub use cancel::CancelToken;
 pub use hash::{FnvBuildHasher, FnvHashMap, FnvHashSet, FnvHasher};
 pub use panic::{catch_silent, catch_silent_mut};
-pub use pool::{parallel_map, parallel_map_mut};
 pub use rng::SmallRng;
 pub use spin::{spin_until, BarrierPoisoned, SpinBarrier};

@@ -22,17 +22,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let out = compile(&w.netlist, &options)?;
 
     println!("== compilation report for `{name}` ==");
-    println!(
-        "  {:<18} {:>8}  {:>10}  {:>7}",
-        "pass", "ms", "ir size", "threads"
-    );
+    println!("  {:<18} {:>8}  {:>10}", "pass", "ms", "ir size");
     for p in &out.report.passes {
         println!(
-            "  {:<18} {:>8.2}  {:>10}  {:>7}",
+            "  {:<18} {:>8.2}  {:>10}",
             p.name,
             p.duration.as_secs_f64() * 1e3,
-            p.ir_size,
-            p.threads
+            p.ir_size
         );
     }
     if let Some(dom) = out.report.dominant_pass() {

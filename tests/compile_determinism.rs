@@ -1,20 +1,17 @@
 //! Compile determinism: the pass-manager pipeline must be a pure function
 //! of (netlist, options) — byte-identical binaries and identical
-//! deterministic report metadata across repeated runs *and* across worker
-//! thread counts. This is the contract that lets the parallel compiler
-//! replace the serial one everywhere: 1 thread runs the reference pass
-//! implementations, >1 runs the parallel ones, and this suite holds them
-//! bit-for-bit equal on every workload.
+//! deterministic report metadata across repeated runs. The compiler's own
+//! oracle tests (`crates/compiler/src/reference.rs`) hold each pass's
+//! production algorithm equal to its straightforward formulation.
 
 use manticore::compiler::{compile, CompileOptions, PartitionStrategy};
 use manticore::isa::MachineConfig;
 use manticore::workloads;
 
-fn options(grid: usize, threads: usize, strategy: PartitionStrategy) -> CompileOptions {
+fn options(grid: usize, strategy: PartitionStrategy) -> CompileOptions {
     CompileOptions {
         config: MachineConfig::with_grid(grid, grid),
         partition: strategy,
-        compile_threads: threads,
         ..Default::default()
     }
 }
@@ -36,93 +33,52 @@ fn same_netlist_twice_is_byte_identical() {
     // identical deterministic metadata — catches hidden iteration-order
     // nondeterminism (e.g. hash-map ordering leaking into emission).
     for (name, netlist) in suite() {
-        for threads in [1, 4] {
-            let opts = options(6, threads, PartitionStrategy::Balanced);
-            let a = compile(&netlist, &opts).unwrap_or_else(|e| panic!("{name}: {e}"));
-            let b = compile(&netlist, &opts).unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(
-                a.binary.to_bytes(),
-                b.binary.to_bytes(),
-                "{name}: binary differs between two identical compiles (threads={threads})"
-            );
-            assert_eq!(
-                a.report.deterministic_fingerprint(),
-                b.report.deterministic_fingerprint(),
-                "{name}: report metadata differs between two identical compiles (threads={threads})"
-            );
-        }
+        let opts = options(6, PartitionStrategy::Balanced);
+        let a = compile(&netlist, &opts).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let b = compile(&netlist, &opts).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(
+            a.binary.to_bytes(),
+            b.binary.to_bytes(),
+            "{name}: binary differs between two identical compiles"
+        );
+        assert_eq!(
+            a.report.deterministic_fingerprint(),
+            b.report.deterministic_fingerprint(),
+            "{name}: report metadata differs between two identical compiles"
+        );
     }
 }
 
 #[test]
-fn parallel_compile_is_bit_identical_to_serial() {
-    // The headline guarantee: at any worker count the parallel pipeline
-    // emits the exact bytes of the serial reference pipeline.
-    for (name, netlist) in suite() {
-        let serial = compile(&netlist, &options(6, 1, PartitionStrategy::Balanced))
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let serial_bytes = serial.binary.to_bytes();
-        let serial_fp = serial.report.deterministic_fingerprint();
-        for threads in [2, 4] {
-            let par = compile(&netlist, &options(6, threads, PartitionStrategy::Balanced))
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(
-                par.binary.to_bytes(),
-                serial_bytes,
-                "{name}: parallel compile ({threads} threads) diverged from serial"
-            );
-            assert_eq!(
-                par.report.deterministic_fingerprint(),
-                serial_fp,
-                "{name}: parallel report metadata ({threads} threads) diverged from serial"
-            );
-            assert_eq!(par.report.compile_threads, threads);
-        }
-    }
-}
-
-#[test]
-fn lpt_strategy_is_deterministic_across_threads_too() {
-    // The LPT merge has a single implementation shared by both pipelines;
-    // the rest of the passes still switch to their parallel forms.
+fn lpt_strategy_is_deterministic() {
     let netlist = workloads::by_name("blur").unwrap().netlist;
-    let serial = compile(&netlist, &options(6, 1, PartitionStrategy::Lpt)).unwrap();
-    let par = compile(&netlist, &options(6, 4, PartitionStrategy::Lpt)).unwrap();
-    assert_eq!(serial.binary.to_bytes(), par.binary.to_bytes());
+    let a = compile(&netlist, &options(6, PartitionStrategy::Lpt)).unwrap();
+    let b = compile(&netlist, &options(6, PartitionStrategy::Lpt)).unwrap();
+    assert_eq!(a.binary.to_bytes(), b.binary.to_bytes());
     assert_eq!(
-        serial.report.deterministic_fingerprint(),
-        par.report.deterministic_fingerprint()
+        a.report.deterministic_fingerprint(),
+        b.report.deterministic_fingerprint()
     );
 }
 
 #[test]
-fn pass_reports_are_complete_at_every_thread_count() {
-    // Whatever the thread count, the report must carry all seven passes in
-    // pipeline order with non-zero IR sizes — the bench gate keys on these.
+fn pass_reports_are_complete() {
+    // The report must carry all seven passes in pipeline order with
+    // non-zero IR sizes — the bench gate keys on these.
     let netlist = workloads::by_name("jpeg").unwrap().netlist;
-    for threads in [1, 2, 4] {
-        let out = compile(&netlist, &options(6, threads, PartitionStrategy::Balanced)).unwrap();
-        let names: Vec<&str> = out.report.passes.iter().map(|p| p.name).collect();
-        assert_eq!(
-            names,
-            vec![
-                "netlist-opt",
-                "lower",
-                "lir-opt",
-                "partition",
-                "custom-functions",
-                "schedule",
-                "regalloc-emit"
-            ]
-        );
-        assert!(out.report.passes.iter().all(|p| p.ir_size > 0));
-        if threads > 1 {
-            assert!(
-                out.report.passes.iter().any(|p| p.threads == threads),
-                "no pass recorded running with {threads} workers"
-            );
-        } else {
-            assert!(out.report.passes.iter().all(|p| p.threads == 1));
-        }
-    }
+    let out = compile(&netlist, &options(6, PartitionStrategy::Balanced)).unwrap();
+    let names: Vec<&str> = out.report.passes.iter().map(|p| p.name).collect();
+    assert_eq!(
+        names,
+        vec![
+            "netlist-opt",
+            "lower",
+            "lir-opt",
+            "partition",
+            "custom-functions",
+            "schedule",
+            "regalloc-emit"
+        ]
+    );
+    assert!(out.report.passes.iter().all(|p| p.ir_size > 0));
 }

@@ -23,23 +23,9 @@ fn check_equivalence(
     cycles: u64,
     strategy: PartitionStrategy,
 ) {
-    check_equivalence_threaded(name, netlist, config, cycles, strategy, 1);
-}
-
-/// Like [`check_equivalence`] but compiling with an explicit worker-thread
-/// count, so the suite also covers the parallel pass pipeline end to end.
-fn check_equivalence_threaded(
-    name: &str,
-    netlist: &manticore::netlist::Netlist,
-    config: MachineConfig,
-    cycles: u64,
-    strategy: PartitionStrategy,
-    compile_threads: usize,
-) {
     let options = CompileOptions {
         config: config.clone(),
         partition: strategy,
-        compile_threads,
         ..Default::default()
     };
     let out = compile(netlist, &options).unwrap_or_else(|e| panic!("{name}: compile failed: {e}"));
@@ -119,21 +105,6 @@ fn soc_matches_with_serial_compile() {
         grid_config(6),
         8,
         PartitionStrategy::Balanced,
-    );
-}
-
-#[test]
-fn soc_matches_with_parallel_compile() {
-    // Same SoC, compiled by the parallel pass pipeline: the binary must be
-    // just as correct (and, per the determinism suite, bit-identical).
-    let netlist = workloads::soc_sized(4, 4, 2000);
-    check_equivalence_threaded(
-        "soc-par",
-        &netlist,
-        grid_config(6),
-        8,
-        PartitionStrategy::Balanced,
-        4,
     );
 }
 
